@@ -38,7 +38,7 @@ from .coins import (
     quantum_graph_coins,
     szegedy_coins,
 )
-from .dynamics import evolve, finding_probability, from_arc_amplitudes, local_state, point_mass
+from .dynamics import from_arc_amplitudes, local_state, point_mass, probability_history
 from .graphs import (
     Graph,
     Partition,
@@ -111,6 +111,8 @@ def _atomic_write_csv(path: str, header: list, rows: list) -> None:
 
 
 def _check_keys(section: dict, allowed: set, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{where}' must be a JSON object")
     unknown = sorted(set(section) - allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
@@ -170,8 +172,14 @@ def _build_graph(cfg: dict) -> Graph:
     else:
         if "vertices" not in section or "edges" not in section:
             raise ConfigError("graph section needs 'vertices' and 'edges' (or 'family')")
-        g = Graph.from_edges(int(section["vertices"]),
-                             [(int(e[0]), int(e[1])) for e in section["edges"]])
+        edges = section["edges"]
+        if not isinstance(edges, list):
+            raise ConfigError("graph 'edges' must be a list of [u, v] pairs")
+        for e in edges:
+            if not (isinstance(e, list) and len(e) == 2
+                    and all(isinstance(x, int) and not isinstance(x, bool) for x in e)):
+                raise ConfigError(f"edge {e!r} is not a [u, v] pair of integers")
+        g = Graph.from_edges(int(section["vertices"]), edges)
     if 2 * len(g.edges) > MAX_ARCS:
         raise ConfigError(f"graph has {2 * len(g.edges)} arcs, over the {MAX_ARCS} limit")
     return g
@@ -239,7 +247,7 @@ def _build_weights(g: Graph, spec) -> VertexWeights:
 
 
 def _build_coins(g: Graph, cfg: dict, spec: dict, seed: int):
-    _check_keys(spec, {"family", "transition", "k", "weights", "seed", "blocks"}, "coins")
+    _check_keys(spec, {"family", "transition", "k", "weights", "seed", "blocks"}, "walk.coins")
     family = spec.get("family", "grover")
     if family == "identity":
         return identity_coins(g)
@@ -313,12 +321,9 @@ def _cmd_evolve(args) -> int:
     else:
         raise ConfigError("evolve.initial needs 'arc', 'local', or 'amplitudes'")
 
-    rows = []
-    for step in range(steps + 1):
-        for v, prob in zip(g.vertices, finding_probability(state)):
-            rows.append([step, v, _fmt(prob)])
-        if step < steps:
-            state = evolve(op, state, 1)
+    rows = [[step, v, _fmt(prob)]
+            for step, probs in enumerate(probability_history(op, state, steps))
+            for v, prob in zip(g.vertices, probs)]
     _atomic_write_csv(os.path.join(args.out, "distribution.csv"),
                       ["step", "vertex", "probability"], rows)
     return 0

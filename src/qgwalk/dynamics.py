@@ -7,8 +7,9 @@ vertex's origin block.
 
 ``path_sum_probability`` recomputes evolved amplitudes by summing transfer
 matrix products over explicitly enumerated vertex paths.  It shares no code
-with the global-matrix route, which is what makes the agreement between the
-two a meaningful check.
+with the operator route (``EvolutionOperator.apply`` and its dense
+``matrix``), which is what makes the agreement between the two a meaningful
+check.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "local_state",
     "evolve",
     "finding_probability",
+    "probability_history",
     "transfer_weight",
     "path_sum_amplitudes",
     "path_sum_probability",
@@ -90,28 +92,54 @@ def local_state(space: ArcSpace, vertex: int, local: np.ndarray) -> WalkState:
     return WalkState(space, _exact_unit(amps, f"local state at vertex {vertex}"))
 
 
-def evolve(op: EvolutionOperator, state: WalkState, steps: int) -> WalkState:
-    """Apply the one-step operator repeatedly; guards against norm drift."""
+def _check_walk(op: EvolutionOperator, state: WalkState, steps: int) -> None:
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if op.space is not state.space and op.space.arcs != state.space.arcs:
         raise ValueError("operator and state live on different arc spaces")
-    amps = state.amplitudes
-    for _ in range(steps):
-        amps = op.matrix @ amps
+
+
+def _check_drift(amps: np.ndarray, steps: int) -> None:
     drift = abs(np.linalg.norm(amps) - 1.0)
     if drift > 1e-10:
         raise ArithmeticError(f"norm drifted by {drift:.3e} over {steps} steps")
+
+
+def evolve(op: EvolutionOperator, state: WalkState, steps: int) -> WalkState:
+    """Apply the one-step operator repeatedly; guards against norm drift."""
+    _check_walk(op, state, steps)
+    amps = state.amplitudes
+    for _ in range(steps):
+        amps = op.apply(amps)
+    _check_drift(amps, steps)
     return WalkState(state.space, amps, state.time + steps)
+
+
+def _origin_starts(space: ArcSpace) -> np.ndarray:
+    return np.array([space.origin_slice(v).start for v in space.graph.vertices])
 
 
 def finding_probability(state: WalkState) -> np.ndarray:
     """Probability of finding the walker at each vertex (origin-block mass)."""
-    space = state.space
-    return np.array([
-        float(np.sum(np.abs(state.amplitudes[space.origin_slice(v)]) ** 2))
-        for v in space.graph.vertices
-    ])
+    return np.add.reduceat(np.abs(state.amplitudes) ** 2, _origin_starts(state.space))
+
+
+def probability_history(op: EvolutionOperator, state: WalkState, steps: int) -> np.ndarray:
+    """Finding probabilities after 0, 1, ..., steps steps, one row per step.
+
+    Steps a plain amplitude array and checks the norm after every step, so a
+    long run builds neither a WalkState per step nor the dense matrix.
+    """
+    _check_walk(op, state, steps)
+    starts = _origin_starts(state.space)
+    history = np.empty((steps + 1, starts.size))
+    amps = state.amplitudes
+    for t in range(steps + 1):
+        if t:
+            amps = op.apply(amps)
+            _check_drift(amps, t)
+        history[t] = np.add.reduceat(np.abs(amps) ** 2, starts)
+    return history
 
 
 # ---------------------------------------------------------------------------

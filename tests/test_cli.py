@@ -221,3 +221,21 @@ def test_missing_section_for_subcommand(tmp_path):
 def test_missing_config_file(tmp_path):
     assert main(["evolve", "--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("edge", [[2], [1, 2, 3], "12", {"u": 1}])
+def test_malformed_edge_is_a_config_error(tmp_path, capsys, edge):
+    config = dict(EVOLVE_CONFIG, graph={"vertices": 3, "edges": [[1, 2], edge]})
+    assert run(tmp_path, config, "evolve") == 2
+    assert "is not a [u, v] pair of integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where,config", [
+    ("walk.coins", dict(EVOLVE_CONFIG, walk={"coins": "grover"})),
+    ("evolve.initial", dict(EVOLVE_CONFIG, evolve={"steps": 1, "initial": "edge"})),
+    ("evolve.initial.local",
+     dict(EVOLVE_CONFIG, evolve={"steps": 1, "initial": {"local": [1, [1, 0]]}})),
+])
+def test_non_object_subsection_is_a_config_error(tmp_path, capsys, where, config):
+    assert run(tmp_path, config, "evolve") == 2
+    assert capsys.readouterr().err == f"error: '{where}' must be a JSON object\n"

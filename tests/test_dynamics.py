@@ -12,6 +12,8 @@ from helpers import (
     ring_recurrence_oracle,
 )
 from qgwalk import (
+    CoinSet,
+    EvolutionOperator,
     Graph,
     build_arc_space,
     cycle_graph,
@@ -28,8 +30,11 @@ from qgwalk import (
     path_sum_amplitudes,
     path_sum_probability,
     point_mass,
+    probability_history,
+    random_connected_graph,
     random_partition,
     random_unitary_coins,
+    shift_permutation,
     star_graph,
 )
 
@@ -153,6 +158,44 @@ def test_distributions_are_normalized():
     probs = finding_probability(s)
     assert np.all(probs >= 0.0)
     assert abs(probs.sum() - 1.0) <= 1e-10
+
+
+def test_finding_probability_is_the_origin_block_mass():
+    rng = np.random.default_rng(23)
+    for g in [star_graph(5), bowtie_graph()] + [random_connected_graph(rng, 4, 9, 0.3)
+                                                for _ in range(4)]:
+        space = build_arc_space(g)
+        x = rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size)
+        s = from_arc_amplitudes(space, dict(zip(space.arcs, x / np.linalg.norm(x))))
+        per_slice = [np.sum(np.abs(s.amplitudes[space.origin_slice(v)]) ** 2)
+                     for v in g.vertices]
+        assert np.abs(finding_probability(s) - per_slice).max() <= 1e-15
+
+
+@pytest.mark.parametrize("kind", ["G", "A"])
+def test_probability_history_matches_stepwise_evolution(kind):
+    rng = np.random.default_rng(29)
+    g = bowtie_graph()
+    space = build_arc_space(g)
+    op = evolution(space, random_partition(g, rng), random_unitary_coins(g, rng), kind)
+    s = point_mass(space, (2, 4))
+    history = probability_history(op, s, 12)
+    assert history.shape == (13, 4)
+    for t in range(13):
+        assert np.array_equal(history[t], finding_probability(evolve(op, s, t)))
+
+
+def test_probability_history_guards_the_norm():
+    # bypass evolution()'s unitarity check to feed the guard a lossy coin
+    g = c4_graph()
+    space = build_arc_space(g)
+    p = flip_flop_partition(g)
+    lossy = CoinSet({v: 0.999 * grover_coins(g).block(v) for v in g.vertices})
+    op = EvolutionOperator("G", space, p, lossy, shift_permutation(space, p))
+    with pytest.raises(ArithmeticError):
+        probability_history(op, point_mass(space, (1, 2)), 3)
+    with pytest.raises(ArithmeticError):
+        evolve(op, point_mass(space, (1, 2)), 3)
 
 
 # ---------------------------------------------------------------------------

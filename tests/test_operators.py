@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import C4_P1, C4_P3, c4_graph, coin_families
+from helpers import C4_P1, C4_P3, bowtie_graph, c4_graph, coin_families
 from qgwalk import (
     CoinSet,
     Graph,
@@ -27,6 +27,7 @@ from qgwalk import (
     random_unitary_coins,
     shift_duality_residual,
     shift_operator,
+    shift_permutation,
     star_graph,
     unitarity_defect,
 )
@@ -47,11 +48,13 @@ def test_shift_is_a_permutation_following_the_partition():
     for _ in range(5):
         g, space, p, _ = random_instance(rng)
         s = shift_operator(space, p)
+        perm = shift_permutation(space, p)
         assert np.array_equal(s @ s.T, np.eye(space.size))
         assert np.all((s == 0.0) | (s == 1.0))
         for col, (i, j) in enumerate(space.arcs):
             row = space.index_of((j, p.successor(i, j)))
             assert s[row, col] == 1.0
+            assert perm[col] == row
 
 
 def test_flip_flop_shift_squares_to_identity():
@@ -149,6 +152,47 @@ def test_matrix_elements_match_entrywise_assembly(kind):
 
 
 # ---------------------------------------------------------------------------
+# matrix-free stepping against the dense matrix
+# ---------------------------------------------------------------------------
+
+
+def mixed_degree_graphs(rng):
+    """Graphs with several distinct vertex degrees, so several coin batches."""
+    return [star_graph(4), bowtie_graph()] + [random_connected_graph(rng, 5, 10, 0.3)
+                                              for _ in range(4)]
+
+
+@pytest.mark.parametrize("kind", ["G", "A"])
+def test_matrix_is_the_coin_shift_product(kind):
+    rng = np.random.default_rng(51)
+    for g in mixed_degree_graphs(rng):
+        space = build_arc_space(g)
+        p, coins = random_partition(g, rng), random_unitary_coins(g, rng)
+        s, c = shift_operator(space, p), coin_operator(space, coins)
+        op = evolution(space, p, coins, kind)
+        assert np.array_equal(op.matrix, c @ s if kind == "G" else s @ c)
+        assert op.matrix is op.matrix
+
+
+@pytest.mark.parametrize("kind", ["G", "A"])
+def test_apply_matches_the_dense_matrix(kind):
+    rng = np.random.default_rng(52)
+    for g in mixed_degree_graphs(rng):
+        space = build_arc_space(g)
+        assert len({g.degree(v) for v in g.vertices}) >= 2
+        op = evolution(space, random_partition(g, rng), random_unitary_coins(g, rng), kind)
+        x = rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size)
+        x /= np.linalg.norm(x)
+        assert np.abs(op.apply(x) - op.matrix @ x).max() <= 1e-13
+        fast, dense = x, x
+        for _ in range(50):
+            fast, dense = op.apply(fast), op.matrix @ dense
+        assert np.abs(fast - dense).max() <= 1e-13
+        with pytest.raises(ValueError):
+            op.apply(x[:-1])
+
+
+# ---------------------------------------------------------------------------
 # unitarity
 # ---------------------------------------------------------------------------
 
@@ -172,6 +216,16 @@ def test_unitary_norm_and_defect_basics():
     assert abs(operator_norm(u) - 1.0) <= 1e-12
     assert unitarity_defect(u) <= 1e-13
     assert unitarity_defect(0.5 * u) > 0.7
+
+
+@pytest.mark.parametrize("kind", ["G", "A"])
+def test_evolution_rejects_a_non_unitary_coin_block(kind):
+    g = star_graph(3)
+    space = build_arc_space(g)
+    blocks = dict(random_unitary_coins(g, np.random.default_rng(54)).blocks)
+    blocks[1] = blocks[1] @ np.diag([1.0, 1.0, 1.0 + 1e-9])
+    with pytest.raises(ValueError, match="not unitary"):
+        evolution(space, flip_flop_partition(g), CoinSet(blocks), kind)
 
 
 def test_evolution_rejects_bad_kind():
