@@ -111,9 +111,7 @@ def _atomic_write_csv(path: str, header: list, rows: list) -> None:
 
 
 def _check_keys(section: dict, allowed: set, where: str) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"'{where}' must be a JSON object")
-    unknown = sorted(set(section) - allowed)
+    unknown = sorted(set(_dict(section, where)) - allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
 
@@ -130,6 +128,35 @@ def _load_config(path: str, sections: set) -> dict:
         raise ConfigError("config must be a JSON object")
     _check_keys(cfg, sections, "config")
     return cfg
+
+
+def _convert(kind, raw, where: str, what: str):
+    try:
+        return kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"'{where}' must be {what}, got {raw!r}") from None
+
+
+def _int(raw, where: str) -> int:
+    """``int(raw)`` for a JSON value, or a ConfigError naming ``where``."""
+    return _convert(int, raw, where, "an integer")
+
+
+def _float(raw, where: str) -> float:
+    """``float(raw)`` for a JSON value, or a ConfigError naming ``where``."""
+    return _convert(float, raw, where, "a number")
+
+
+def _list(raw, where: str) -> list:
+    if not isinstance(raw, list):
+        raise ConfigError(f"'{where}' must be a JSON list, got {raw!r}")
+    return raw
+
+
+def _dict(raw, where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"'{where}' must be a JSON object")
+    return raw
 
 
 def _section(cfg: dict, name: str, required: bool = True) -> dict:
@@ -153,8 +180,15 @@ def _as_complex(raw) -> complex:
     if isinstance(raw, (int, float)):
         return complex(raw)
     if isinstance(raw, list) and len(raw) == 2:
-        return complex(float(raw[0]), float(raw[1]))
+        return complex(_float(raw[0], "real part"), _float(raw[1], "imaginary part"))
     raise ConfigError(f"expected a number or [re, im] pair, got {raw!r}")
+
+
+def _check_vertex_count(n: int) -> None:
+    # a connected graph on n vertices has at least 2 (n - 1) arcs; checked
+    # before building, which costs time and memory linear in n
+    if 2 * (n - 1) > MAX_ARCS:
+        raise ConfigError(f"a graph on {n} vertices has over {MAX_ARCS} arcs, the limit")
 
 
 def _build_graph(cfg: dict) -> Graph:
@@ -162,10 +196,11 @@ def _build_graph(cfg: dict) -> Graph:
     _check_keys(section, {"vertices", "edges", "family", "n"}, "graph")
     if "family" in section:
         _check_keys(section, {"family", "n"}, "graph")
-        family, n = section["family"], int(section.get("n", 0))
+        family, n = section["family"], _int(section.get("n", 0), "graph.n")
+        _check_vertex_count(n)
         builders = {"cycle": cycle_graph, "path": path_graph, "complete": complete_graph,
                     "star": lambda m: star_graph(m - 1)}
-        if family not in builders:
+        if not isinstance(family, str) or family not in builders:
             raise ConfigError(f"unknown graph family {family!r}; "
                               f"choose from {sorted(builders)}")
         g = builders[family](n)
@@ -179,7 +214,11 @@ def _build_graph(cfg: dict) -> Graph:
             if not (isinstance(e, list) and len(e) == 2
                     and all(isinstance(x, int) and not isinstance(x, bool) for x in e)):
                 raise ConfigError(f"edge {e!r} is not a [u, v] pair of integers")
-        g = Graph.from_edges(int(section["vertices"]), edges)
+        if 2 * len(edges) > MAX_ARCS:
+            raise ConfigError(f"graph has {2 * len(edges)} arcs, over the {MAX_ARCS} limit")
+        n = _int(section["vertices"], "graph.vertices")
+        _check_vertex_count(n)
+        g = Graph.from_edges(n, edges)
     if 2 * len(g.edges) > MAX_ARCS:
         raise ConfigError(f"graph has {2 * len(g.edges)} arcs, over the {MAX_ARCS} limit")
     return g
@@ -190,11 +229,13 @@ def _build_partition(g: Graph, spec) -> Partition:
         return flip_flop_partition(g)
     if isinstance(spec, dict) and "successors" in spec:
         _check_keys(spec, {"successors"}, "partition")
-        succ = {_arc_key(key): int(val) for key, val in spec["successors"].items()}
+        succ = {_arc_key(key): _int(val, f"partition.successors.{key}")
+                for key, val in _dict(spec["successors"], "partition.successors").items()}
         return Partition.from_successors(g, succ)
     if isinstance(spec, dict) and "random_seed" in spec:
         _check_keys(spec, {"random_seed"}, "partition")
-        return random_partition(g, np.random.default_rng(int(spec["random_seed"])))
+        seed = _int(spec["random_seed"], "partition.random_seed")
+        return random_partition(g, np.random.default_rng(seed))
     raise ConfigError("partition must be 'flip-flop', {'successors': ...}, "
                       "or {'random_seed': ...}")
 
@@ -203,10 +244,12 @@ def _build_transition(g: Graph, spec) -> TransitionMatrix:
     if spec == "uniform":
         return TransitionMatrix.uniform(g)
     if isinstance(spec, list):
-        return TransitionMatrix(g, np.array(spec, dtype=float))
+        return TransitionMatrix(g, _convert(lambda rows: np.array(rows, dtype=float), spec,
+                                            "transition", "a matrix of numbers"))
     if isinstance(spec, dict) and "random_seed" in spec:
         _check_keys(spec, {"random_seed"}, "transition")
-        return random_reversible_transition(g, np.random.default_rng(int(spec["random_seed"])))
+        seed = _int(spec["random_seed"], "transition.random_seed")
+        return random_reversible_transition(g, np.random.default_rng(seed))
     raise ConfigError("transition must be 'uniform', a row matrix, or {'random_seed': ...}")
 
 
@@ -215,7 +258,7 @@ def _lam_value(raw) -> float:
         if raw.lower() in ("dirichlet", "inf", "infinity"):
             return DIRICHLET
         raise ConfigError(f"unknown coupling value {raw!r}")
-    return float(raw)
+    return _float(raw, "quantum_graph.lambdas")
 
 
 def _build_qg(g: Graph, cfg: dict) -> QuantumGraphParams:
@@ -225,12 +268,13 @@ def _build_qg(g: Graph, cfg: dict) -> QuantumGraphParams:
     def edge_values(name: str, default: float):
         raw = section.get(name, default)
         if isinstance(raw, dict):
-            return {_arc_key(key): float(val) for key, val in raw.items()}
-        return float(raw)
+            return {_arc_key(key): _float(val, f"quantum_graph.{name}.{key}")
+                    for key, val in raw.items()}
+        return _float(raw, f"quantum_graph.{name}")
 
     raw_lam = section.get("lambdas", 0.0)
     if isinstance(raw_lam, dict):
-        lam = {int(v): _lam_value(x) for v, x in raw_lam.items()}
+        lam = {_int(v, "quantum_graph.lambdas key"): _lam_value(x) for v, x in raw_lam.items()}
     else:
         lam = _lam_value(raw_lam)
     return QuantumGraphParams.build(g, edge_values("lengths", 1.0), lam,
@@ -241,8 +285,10 @@ def _build_weights(g: Graph, spec) -> VertexWeights:
     if spec is None or spec == "uniform":
         return VertexWeights.uniform(g)
     if isinstance(spec, dict):
-        return VertexWeights(g, {int(v): np.array([_as_complex(x) for x in vec])
-                                 for v, vec in spec.items()})
+        where = "walk.coins.weights"
+        return VertexWeights(g, {
+            _int(v, f"{where} key"): np.array([_as_complex(x) for x in _list(vec, f"{where}.{v}")])
+            for v, vec in spec.items()})
     raise ConfigError("weights must be 'uniform' or a per-vertex map")
 
 
@@ -254,7 +300,8 @@ def _build_coins(g: Graph, cfg: dict, spec: dict, seed: int):
     if family == "grover":
         return grover_coins(g)
     if family == "random":
-        return random_unitary_coins(g, np.random.default_rng(int(spec.get("seed", seed))))
+        seed = _int(spec.get("seed", seed), "walk.coins.seed")
+        return random_unitary_coins(g, np.random.default_rng(seed))
     if family == "szegedy":
         if "transition" not in spec:
             raise ConfigError("szegedy coins need a 'transition' entry")
@@ -263,7 +310,7 @@ def _build_coins(g: Graph, cfg: dict, spec: dict, seed: int):
         if "k" not in spec:
             raise ConfigError(f"{family} coins need a wavenumber 'k'")
         q = _build_qg(g, cfg)
-        k = float(spec["k"])
+        k = _float(spec["k"], "walk.coins.k")
         if family == "quantum-graph":
             return quantum_graph_coins(g, q, k)
         return projector_coins(g, q, _build_weights(g, spec.get("weights")), k)
@@ -271,20 +318,22 @@ def _build_coins(g: Graph, cfg: dict, spec: dict, seed: int):
         if "blocks" not in spec:
             raise ConfigError("explicit coins need a 'blocks' entry")
         blocks = {}
-        for v, rows in spec["blocks"].items():
-            blocks[int(v)] = np.array([[_as_complex(x) for x in row] for row in rows])
+        for v, rows in _dict(spec["blocks"], "walk.coins.blocks").items():
+            where = f"walk.coins.blocks.{v}"
+            blocks[_int(v, "walk.coins.blocks key")] = np.array(
+                [[_as_complex(x) for x in _list(row, where)] for row in _list(rows, where)])
         return CoinSet(blocks)
     raise ConfigError(f"unknown coin family {family!r}")
 
 
-def _build_walk(g: Graph, cfg: dict, seed: int):
+def _build_walk(g: Graph, cfg: dict, seed: int, default_coins: str = "grover"):
     section = _section(cfg, "walk", required=False)
     _check_keys(section, {"kind", "partition", "coins"}, "walk")
     kind = section.get("kind", "G")
     if kind not in ("G", "A"):
         raise ConfigError(f"walk kind must be 'G' or 'A', got {kind!r}")
     p = _build_partition(g, section.get("partition", "flip-flop"))
-    coins = _build_coins(g, cfg, section.get("coins", {"family": "grover"}), seed)
+    coins = _build_coins(g, cfg, section.get("coins", {"family": default_coins}), seed)
     return p, coins, kind
 
 
@@ -302,22 +351,25 @@ def _cmd_evolve(args) -> int:
 
     section = _section(cfg, "evolve")
     _check_keys(section, {"steps", "initial"}, "evolve")
-    steps = int(section.get("steps", 10))
+    steps = _int(section.get("steps", 10), "evolve.steps")
     if steps < 0:
         raise ConfigError("steps must be nonnegative")
     initial = section.get("initial", {"arc": list(space.arcs[0])})
     _check_keys(initial, {"arc", "local", "amplitudes"}, "evolve.initial")
     if "arc" in initial:
-        state = point_mass(space, tuple(int(x) for x in initial["arc"]))
+        arc = _list(initial["arc"], "evolve.initial.arc")
+        state = point_mass(space, tuple(_int(x, "evolve.initial.arc") for x in arc))
     elif "local" in initial:
         loc = initial["local"]
         _check_keys(loc, {"vertex", "amplitudes"}, "evolve.initial.local")
-        state = local_state(space, int(loc["vertex"]),
-                            np.array([_as_complex(x) for x in loc["amplitudes"]]))
+        amps = _list(loc["amplitudes"], "evolve.initial.local.amplitudes")
+        state = local_state(space, _int(loc["vertex"], "evolve.initial.local.vertex"),
+                            np.array([_as_complex(x) for x in amps]))
     elif "amplitudes" in initial:
         state = from_arc_amplitudes(
             space, {_arc_key(key): _as_complex(val)
-                    for key, val in initial["amplitudes"].items()})
+                    for key, val in _dict(initial["amplitudes"],
+                                          "evolve.initial.amplitudes").items()})
     else:
         raise ConfigError("evolve.initial needs 'arc', 'local', or 'amplitudes'")
 
@@ -335,12 +387,8 @@ def _cmd_verify(args) -> int:
     space = build_arc_space(g)
     section = _section(cfg, "verify", required=False)
     _check_keys(section, {"steps", "other_partition"}, "verify")
-    steps = int(section.get("steps", 3))
-
-    walk_section = _section(cfg, "walk", required=False)
-    _check_keys(walk_section, {"kind", "partition", "coins"}, "walk")
-    p = _build_partition(g, walk_section.get("partition", "flip-flop"))
-    coins = _build_coins(g, cfg, walk_section.get("coins", {"family": "random"}), args.seed)
+    steps = _int(section.get("steps", 3), "verify.steps")
+    p, coins, _kind = _build_walk(g, cfg, args.seed, default_coins="random")
     p2 = _build_partition(g, section.get("other_partition", {"random_seed": args.seed + 1}))
 
     tol = args.tol if args.tol is not None else 1e-10
@@ -400,11 +448,13 @@ def _cmd_qg_scan(args) -> int:
         raise ConfigError("scan section needs 'k_min' and 'k_max'")
 
     scan = scan_roots(
-        g, q, float(section["k_min"]), float(section["k_max"]),
-        grid_points=int(section["grid_points"]) if "grid_points" in section else None,
-        refine_tol=float(section.get("refine_tol", 1e-10)),
-        root_tol=float(section.get("root_tol", 1e-9)),
-        bracket_threshold=float(section.get("bracket_threshold", 0.1)))
+        g, q, _float(section["k_min"], "scan.k_min"), _float(section["k_max"], "scan.k_max"),
+        grid_points=(_int(section["grid_points"], "scan.grid_points")
+                     if "grid_points" in section else None),
+        refine_tol=_float(section.get("refine_tol", 1e-10), "scan.refine_tol"),
+        root_tol=_float(section.get("root_tol", 1e-9), "scan.root_tol"),
+        bracket_threshold=_float(section.get("bracket_threshold", 0.1),
+                                 "scan.bracket_threshold"))
 
     rows = [[_fmt(k), _fmt(ind), _fmt(det.real), _fmt(det.imag),
              _fmt(red.real), _fmt(red.imag)]
@@ -432,10 +482,11 @@ def _cmd_qg_eigenfunction(args) -> int:
     tol = args.tol if args.tol is not None else 1e-8
     # always build the report from the least-defect vector; an off-root k is
     # a verification failure (exit 1 below), not a config error
-    root_tol = float(section.get("root_tol", 1e-9))
-    sv = stationary_vector(g, q, float(section["k"]), root_tol=math.inf)
+    root_tol = _float(section.get("root_tol", 1e-9), "eigenfunction.root_tol")
+    sv = stationary_vector(g, q, _float(section["k"], "eigenfunction.k"), root_tol=math.inf)
     root_ok = sv.defect <= root_tol
-    sample = sample_eigenfunction(sv, q, int(section.get("samples_per_edge", 33)))
+    samples = _int(section.get("samples_per_edge", 33), "eigenfunction.samples_per_edge")
+    sample = sample_eigenfunction(sv, q, samples)
     report = boundary_condition_report(sample, q, tol)
     # the four-way check expects the A-type stationary vector, the shift of
     # the G-type one returned by stationary_vector
@@ -468,7 +519,7 @@ def _cmd_partitions(args) -> int:
     g = _build_graph(cfg)
     section = _section(cfg, "partitions", required=False)
     _check_keys(section, {"cap"}, "partitions")
-    parts = enumerate_partitions(g, cap=int(section.get("cap", 1_000_000)))
+    parts = enumerate_partitions(g, cap=_int(section.get("cap", 1_000_000), "partitions.cap"))
     rows = []
     for i, p in enumerate(parts):
         lengths = sorted((len(c) for c in p.cycles), reverse=True)

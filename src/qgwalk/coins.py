@@ -66,19 +66,20 @@ class TransitionMatrix:
         n = g.vertex_count
         if m.shape != (n, n):
             raise ValueError(f"transition matrix shape {m.shape}, expected {(n, n)}")
-        if np.any(m < 0.0) or np.any(m > 1.0):
+        if not np.all((m >= 0.0) & (m <= 1.0)):  # also rejects NaN
             raise ValueError("transition probabilities must lie in [0, 1]")
         row_err = np.abs(m.sum(axis=1) - 1.0).max()
         if row_err > 1e-12:
             raise ValueError(f"rows must sum to one (max defect {row_err:.3e})")
-        for u in g.vertices:
-            for v in g.vertices:
-                on_arc = g.has_edge(u, v)
-                val = m[u - 1, v - 1]
-                if on_arc and val <= 0.0:
-                    raise ValueError(f"transition {u}->{v} must be positive on an edge")
-                if not on_arc and val != 0.0:
-                    raise ValueError(f"transition {u}->{v} must be zero off the edge set")
+        on_arc = np.zeros((n, n), dtype=bool)
+        ends = np.array(g.edges) - 1
+        on_arc[ends[:, 0], ends[:, 1]] = on_arc[ends[:, 1], ends[:, 0]] = True
+        bad = np.argwhere(np.where(on_arc, m <= 0.0, m != 0.0))
+        if bad.size:
+            u, v = (int(x) + 1 for x in bad[0])  # first offender in row-major order
+            if on_arc[u - 1, v - 1]:
+                raise ValueError(f"transition {u}->{v} must be positive on an edge")
+            raise ValueError(f"transition {u}->{v} must be zero off the edge set")
 
     @classmethod
     def uniform(cls, g: Graph) -> "TransitionMatrix":

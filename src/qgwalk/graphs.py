@@ -375,6 +375,9 @@ def _cycles_from_successors(graph: Graph, succ: dict) -> tuple:
     missing = [a for a in arcs if a not in succ]
     if missing:
         raise ValueError(f"successor map missing arcs, e.g. {missing[0]}")
+    for i, j in arcs:
+        if not graph.has_edge(j, succ[(i, j)]):
+            raise ValueError(f"successor of {(i, j)} is {succ[(i, j)]}, not a neighbour of {j}")
     seen: set[Arc] = set()
     cycles = []
     for a in arcs:

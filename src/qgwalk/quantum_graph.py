@@ -163,8 +163,8 @@ def scan_roots(g: Graph, q: QuantumGraphParams, k_min: float, k_max: float,
     I - U(k) below 1e-8.  Set QGWALK_THREADS to evaluate grid points in a
     thread pool; results are ordered either way.
     """
-    if not (0.0 < k_min < k_max):
-        raise ValueError("need 0 < k_min < k_max")
+    if not (0.0 < k_min < k_max < math.inf):
+        raise ValueError("need 0 < k_min < k_max < inf")
     zero = [e for e, length in q.lengths.items() if length == 0.0]
     if zero:
         raise ValueError(f"cannot scan with zero-length edges: {zero}")

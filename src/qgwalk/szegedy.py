@@ -13,7 +13,14 @@ symmetric n x n matrix with entries sqrt(p(i,j) p(j,i)):
   each of +1 and -1.
 
 Eigenvectors lift as (I - exp(i theta) S) A p; at nu = +/-1 the lift can
-vanish, in which case that direction carries no genuine eigenvector.
+vanish, in which case that direction carries no genuine eigenvector.  The
+lifts are checked matrix-free: one product lifts every discriminant
+eigenvector, the shift is a scatter through the walk's arc permutation, and
+each residual applies the walk with ``EvolutionOperator.apply``.
+
+The oracle, ``direct_spectrum``, diagonalizes the dense walk.  When the walk
+is exactly real (real chains, Grover, identity or real explicit coins) it
+runs in real arithmetic on the same entries.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import numpy as np
 
 from .coins import TransitionMatrix, szegedy_coins
 from .graphs import ArcSpace, Graph, flip_flop_partition
-from .operators import EvolutionOperator, evolution, shift_operator
+from .operators import EvolutionOperator, evolution
 
 __all__ = [
     "discriminant_matrix",
@@ -106,9 +113,10 @@ def szegedy_spectrum(space: ArcSpace, t: TransitionMatrix,
     else:
         case = "general"
 
-    u = szegedy_walk(space, t).matrix
-    s = shift_operator(space, flip_flop_partition(g))
-    lift = lift_map(space, t)
+    op = szegedy_walk(space, t)
+    lifted = lift_map(space, t) @ vecs
+    shifted = np.empty_like(lifted)
+    shifted[op.perm] = lifted
 
     eigenvalues: list[complex] = []
     lifts: list[LiftedEigenvector] = []
@@ -119,7 +127,7 @@ def szegedy_spectrum(space: ArcSpace, t: TransitionMatrix,
         for sign in signs:
             mu = complex(np.exp(1j * sign * theta))
             eigenvalues.append(mu)
-            lifts.append(_lift_direction(u, s, lift, vecs[:, idx], nu, mu))
+            lifts.append(_lift_direction(op, lifted[:, idx], shifted[:, idx], nu, mu))
     if case == "general":
         for _ in range(m_edges - n):
             eigenvalues.extend([1.0 + 0.0j, -1.0 + 0.0j])
@@ -131,20 +139,28 @@ def szegedy_spectrum(space: ArcSpace, t: TransitionMatrix,
     return SpectralResult(case, nus, thetas, out[order], tuple(lifts))
 
 
-def _lift_direction(u, s, lift, p, nu, mu) -> LiftedEigenvector:
-    ap = lift @ p
-    w = ap - mu * (s @ ap)
+def _lift_direction(op, ap, sap, nu, mu) -> LiftedEigenvector:
+    """(I - mu S) A p from A p and S A p, with its residual under the walk."""
+    w = ap - mu * sap
     nrm = np.linalg.norm(w)
     if nrm <= 1e-10:
         return LiftedEigenvector(mu, nu, None, False, None)
     w = w / nrm
-    residual = float(np.linalg.norm(u @ w - mu * w))
+    residual = float(np.linalg.norm(op.apply(w) - mu * w))
     return LiftedEigenvector(mu, nu, w, True, residual)
 
 
 def direct_spectrum(op: EvolutionOperator) -> np.ndarray:
-    """Dense eigensolve of the assembled walk, sorted by phase."""
-    vals = np.linalg.eigvals(op.matrix)
+    """Dense eigensolve of the assembled walk, sorted by phase.
+
+    An exactly real walk is diagonalized in real arithmetic: the matrix is
+    the same, only the solver is the cheaper real one.
+    """
+    u = op.matrix
+    if u.imag.any():
+        vals = np.linalg.eigvals(u)
+    else:
+        vals = np.linalg.eigvals(u.real).astype(complex)
     off = np.abs(np.abs(vals) - 1.0).max()
     if off > 1e-10:
         raise ArithmeticError(f"eigenvalue modulus off the unit circle by {off:.3e}")

@@ -239,3 +239,37 @@ def test_malformed_edge_is_a_config_error(tmp_path, capsys, edge):
 def test_non_object_subsection_is_a_config_error(tmp_path, capsys, where, config):
     assert run(tmp_path, config, "evolve") == 2
     assert capsys.readouterr().err == f"error: '{where}' must be a JSON object\n"
+
+
+@pytest.mark.parametrize("where,config", [
+    ("graph.n", dict(EVOLVE_CONFIG, graph={"family": "cycle", "n": [4]})),
+    ("graph.vertices", dict(EVOLVE_CONFIG, graph={"vertices": None, "edges": [[1, 2]]})),
+    ("evolve.initial.arc", dict(EVOLVE_CONFIG, evolve={"steps": 1, "initial": {"arc": 5}})),
+])
+def test_wrong_typed_value_is_a_config_error(tmp_path, capsys, where, config):
+    assert run(tmp_path, config, "evolve") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: '{where}' must be ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("graph,message", [
+    ({"family": "cycle", "n": 10**5}, "a graph on 100000 vertices has over 2000 arcs"),
+    ({"vertices": 10**5, "edges": [[1, 2]]}, "a graph on 100000 vertices has over 2000 arcs"),
+    ({"vertices": 3, "edges": [[1, 2]] * 1001}, "graph has 2002 arcs, over the 2000 limit"),
+])
+def test_oversize_graph_is_rejected_before_it_is_built(tmp_path, capsys, graph, message):
+    assert run(tmp_path, dict(EVOLVE_CONFIG, graph=graph), "evolve") == 2
+    assert message in capsys.readouterr().err
+
+
+def test_successor_off_the_neighbourhood_is_a_config_error(tmp_path, capsys):
+    walk = {"partition": {"successors": {"1,2": 5, "3,2": 1, "2,1": 4, "4,1": 2,
+                                         "2,3": 4, "4,3": 2, "3,4": 1, "1,4": 3}}}
+    assert run(tmp_path, dict(VERIFY_CONFIG, walk=walk), "verify") == 2
+    assert "error: successor of (1, 2) is 5, not a neighbour of 2" in capsys.readouterr().err
+
+
+def test_infinite_scan_window_is_a_config_error(tmp_path, capsys):
+    config = dict(SCAN_CONFIG, scan={"k_min": 0.5, "k_max": math.inf})
+    assert run(tmp_path, config, "qg-scan") == 2
+    assert capsys.readouterr().err == "error: need 0 < k_min < k_max < inf\n"

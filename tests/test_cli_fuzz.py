@@ -1,0 +1,62 @@
+"""The CLI keeps its exit-code contract when a config value has the wrong type.
+
+Each example takes one shipped config, replaces one leaf with a JSON value of
+the wrong type, and runs the command the config is written for.  ``main``
+must return 0, 1 or 2 and must not raise.
+"""
+
+import copy
+import json
+from pathlib import Path
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from qgwalk.cli import main  # noqa: E402
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SECTION_COMMANDS = {"evolve": "evolve", "verify": "verify", "szegedy": "szegedy",
+                    "scan": "qg-scan", "eigenfunction": "qg-eigenfunction",
+                    "partitions": "partitions"}
+WRONG_TYPED = [None, [], [4], "x", {}]
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+def _cases():
+    cases = []
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        cfg = json.loads(path.read_text())
+        command = next(SECTION_COMMANDS[key] for key in cfg if key in SECTION_COMMANDS)
+        cases.extend((path.name, command, cfg, leaf) for leaf in _leaf_paths(cfg))
+    return cases
+
+
+CASES = _cases()
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(CASES), value=st.sampled_from(WRONG_TYPED))
+def test_wrong_typed_leaf_keeps_the_exit_code_contract(tmp_path, case, value):
+    _name, command, cfg, leaf = case
+    mutated = copy.deepcopy(cfg)
+    node = mutated
+    for key in leaf[:-1]:
+        node = node[key]
+    node[leaf[-1]] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(mutated))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) in (0, 1, 2)

@@ -18,6 +18,7 @@ from qgwalk import (
     path_graph,
     projector_coins,
     quantum_graph_coins,
+    random_connected_graph,
     random_reversible_transition,
     star_graph,
     szegedy_coins,
@@ -82,6 +83,65 @@ def test_transition_validation():
     zero[1, 0], zero[1, 2] = 0.0, 1.0  # vanishing on a real arc
     with pytest.raises(ValueError):
         TransitionMatrix(g, zero)
+
+
+def _first_support_offender(g, m):
+    """Reference for TransitionMatrix's support check: the plain n^2 loop."""
+    for u in g.vertices:
+        for v in g.vertices:
+            on_arc = g.has_edge(u, v)
+            val = m[u - 1, v - 1]
+            if on_arc and val <= 0.0:
+                return f"transition {u}->{v} must be positive on an edge"
+            if not on_arc and val != 0.0:
+                return f"transition {u}->{v} must be zero off the edge set"
+    return None
+
+
+def test_transition_support_errors_name_the_first_offender():
+    g = c4_graph()  # edges 1-2, 2-3, 3-4, 1-4
+    m = TransitionMatrix.uniform(g).matrix.copy()
+    off = m.copy()
+    off[0] = [0.0, 0.5, 0.25, 0.25]  # 1->3 is not an edge
+    with pytest.raises(ValueError, match=r"^transition 1->3 must be zero off the edge set$"):
+        TransitionMatrix(g, off)
+    zero = m.copy()
+    zero[2] = [0.0, 1.0, 0.0, 0.0]  # 3->4 is an edge
+    with pytest.raises(ValueError, match=r"^transition 3->4 must be positive on an edge$"):
+        TransitionMatrix(g, zero)
+    both = m.copy()
+    both[1] = [0.0, 0.0, 0.5, 0.5]  # 2->1 vanishes on an edge before 2->4 leaves it
+    both[2] = [0.5, 0.5, 0.0, 0.0]
+    with pytest.raises(ValueError, match=r"^transition 2->1 must be positive on an edge$"):
+        TransitionMatrix(g, both)
+
+
+def test_transition_rejects_nan():
+    g = path_graph(3)
+    m = np.array([[0.0, 1.0, 0.0], [np.nan, 0.0, 0.5], [0.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        TransitionMatrix(g, m)
+
+
+def test_transition_support_check_matches_the_loop_reference():
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        g = random_connected_graph(rng)
+        n = g.vertex_count
+        m = random_reversible_transition(g, rng).matrix.copy()
+        # move mass within one row onto or off the support, keeping rows stochastic
+        for _ in range(rng.integers(1, 3)):
+            u, a, b = rng.integers(n), rng.integers(n), rng.integers(n)
+            moved = m[u, a]
+            m[u, a] -= moved
+            m[u, b] += moved
+        expected = _first_support_offender(g, m)
+        if expected is None:
+            TransitionMatrix(g, m)
+        else:
+            with pytest.raises(ValueError) as err:
+                TransitionMatrix(g, m)
+            assert str(err.value) == expected
 
 
 def test_random_reversible_transition_valid_and_seeded():

@@ -242,6 +242,10 @@ def test_invalid_partitions_rejected():
         Partition.from_successors(g, bad)
     with pytest.raises(ValueError):
         Partition.from_successors(g, {(1, 2): 3})  # incomplete cover
+    for off in (5, 0, 2):  # not a vertex, or not a neighbour of 2 (2 itself)
+        message = r"^successor of \(1, 2\) is \d, not a neighbour of 2$"
+        with pytest.raises(ValueError, match=message):
+            Partition.from_successors(g, {**C4_P1, (1, 2): off})
     with pytest.raises(ValueError):
         # overlapping cycles: (1,2) appears twice
         Partition.from_cycles(g, [((1, 2), (2, 1)), ((1, 2), (2, 3), (3, 4), (4, 1))])

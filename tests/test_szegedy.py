@@ -20,6 +20,7 @@ from qgwalk import (
     path_graph,
     random_connected_graph,
     random_reversible_transition,
+    random_unitary_coins,
     shift_operator,
     star_graph,
     szegedy_spectrum,
@@ -187,6 +188,67 @@ def test_genuine_lifts_satisfy_the_eigenvalue_equation():
         assert abs(np.linalg.norm(lift.vector) - 1.0) <= 1e-12
         assert np.linalg.norm(u @ lift.vector - lift.eigenvalue * lift.vector) <= 1e-8
         assert lift.residual <= 1e-8
+
+
+FAST_PATH_GRAPHS = {
+    "tree": lambda: star_graph(4),
+    "unicyclic": lambda: cycle_graph(7),
+    "general": lambda: complete_graph(5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAST_PATH_GRAPHS))
+def test_lift_residuals_from_apply_match_the_dense_walk(case):
+    rng = np.random.default_rng(19)
+    g = FAST_PATH_GRAPHS[case]()
+    space = build_arc_space(g)
+    t = random_reversible_transition(g, rng)
+    u = szegedy_walk(space, t).matrix
+    result = szegedy_spectrum(space, t)
+    assert result.case == case
+    genuine = [lift for lift in result.lifts if lift.genuine]
+    assert genuine
+    for lift in genuine:
+        dense = np.linalg.norm(u @ lift.vector - lift.eigenvalue * lift.vector)
+        assert abs(lift.residual - dense) <= 1e-13
+
+
+def _spy_on_eigvals(monkeypatch) -> list:
+    dtypes = []
+    eigvals = np.linalg.eigvals
+
+    def spy(a):
+        dtypes.append(a.dtype)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    return dtypes
+
+
+@pytest.mark.parametrize("case", sorted(FAST_PATH_GRAPHS))
+def test_real_walk_oracle_runs_real_and_matches_the_complex_solve(monkeypatch, case):
+    g = FAST_PATH_GRAPHS[case]()
+    space = build_arc_space(g)
+    op = szegedy_walk(space, random_reversible_transition(g, np.random.default_rng(23)))
+    complex_vals = np.linalg.eigvals(op.matrix)
+    dtypes = _spy_on_eigvals(monkeypatch)
+    real_vals = direct_spectrum(op)
+    assert dtypes == [np.dtype(float)]
+    assert real_vals.dtype == np.dtype(complex)
+    match = compare_spectra(real_vals, complex_vals, tol=1e-12)
+    assert match.ok
+
+
+def test_complex_walk_oracle_keeps_the_complex_solve(monkeypatch):
+    g = complete_graph(5)
+    space = build_arc_space(g)
+    op = evolution(space, flip_flop_partition(g),
+                   random_unitary_coins(g, np.random.default_rng(29)), "A")
+    reference = np.linalg.eigvals(op.matrix)
+    dtypes = _spy_on_eigvals(monkeypatch)
+    vals = direct_spectrum(op)
+    assert dtypes == [np.dtype(complex)]
+    assert np.array_equal(vals, reference[np.lexsort((reference.real, np.angle(reference)))])
 
 
 def test_degenerate_lifts_are_flagged_not_dropped():
