@@ -28,8 +28,6 @@ of the whole construction.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,13 +140,9 @@ def _golden_minimize(f, lo: float, hi: float, xtol: float) -> tuple[float, float
     return best_x, best_y
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("QGWALK_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"QGWALK_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
+# Largest scan grid: every point is a dense SVD and determinant, so a grid
+# past this is a mistyped window or density, not a scan that could finish.
+MAX_GRID_POINTS = 10**6
 
 
 def scan_roots(g: Graph, q: QuantumGraphParams, k_min: float, k_max: float,
@@ -160,23 +154,25 @@ def scan_roots(g: Graph, q: QuantumGraphParams, k_min: float, k_max: float,
     k), refines every local minimum under ``bracket_threshold`` by golden
     section to ``refine_tol``, and accepts a root when the refined indicator
     is at most ``root_tol``.  Multiplicity counts singular values of
-    I - U(k) below 1e-8.  Set QGWALK_THREADS to evaluate grid points in a
-    thread pool; results are ordered either way.
+    I - U(k) below 1e-8.  A grid over ``MAX_GRID_POINTS`` points, given or
+    defaulted, is rejected before anything is allocated.
     """
     if not (0.0 < k_min < k_max < math.inf):
         raise ValueError("need 0 < k_min < k_max < inf")
     zero = [e for e, length in q.lengths.items() if length == 0.0]
     if zero:
         raise ValueError(f"cannot scan with zero-length edges: {zero}")
-    space = build_arc_space(g)
-    shift = shift_operator(space, flip_flop_partition(g))
-    eye = np.eye(space.size)
-    weights = VertexWeights.uniform(g)
-
     if grid_points is None:
         grid_points = max(50, int(math.ceil(2000.0 * (k_max - k_min))))
     if grid_points < 3:
         raise ValueError("need at least 3 grid points")
+    if grid_points > MAX_GRID_POINTS:
+        raise ValueError(f"scan grid of {grid_points} points is over the "
+                         f"{MAX_GRID_POINTS} limit; narrow [k_min, k_max] or set grid_points")
+    space = build_arc_space(g)
+    shift = shift_operator(space, flip_flop_partition(g))
+    eye = np.eye(space.size)
+    weights = VertexWeights.uniform(g)
     ks = np.linspace(k_min, k_max, grid_points)
 
     def indicator(k: float) -> float:
@@ -193,12 +189,7 @@ def scan_roots(g: Graph, q: QuantumGraphParams, k_min: float, k_max: float,
             red = complex(float("nan"), float("nan"))
         return ind, det, red
 
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(grid_eval, ks))
-    else:
-        rows = [grid_eval(k) for k in ks]
+    rows = [grid_eval(k) for k in ks]
     indicators = np.array([r[0] for r in rows])
     dets = np.array([r[1] for r in rows])
     reduced = np.array([r[2] for r in rows])

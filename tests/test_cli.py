@@ -273,3 +273,13 @@ def test_infinite_scan_window_is_a_config_error(tmp_path, capsys):
     config = dict(SCAN_CONFIG, scan={"k_min": 0.5, "k_max": math.inf})
     assert run(tmp_path, config, "qg-scan") == 2
     assert capsys.readouterr().err == "error: need 0 < k_min < k_max < inf\n"
+
+
+@pytest.mark.parametrize("scan,points", [
+    ({"k_min": 0.5, "k_max": 1e6}, 1999999000),
+    ({"k_min": 0.5, "k_max": 7.0, "grid_points": 10**9}, 10**9),
+])
+def test_oversize_scan_grid_is_a_config_error(tmp_path, capsys, scan, points):
+    assert run(tmp_path, dict(SCAN_CONFIG, scan=scan), "qg-scan") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: scan grid of {points} points is over the 1000000 limit")

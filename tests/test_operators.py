@@ -12,6 +12,7 @@ from qgwalk import (
     a_type_reduction_residual,
     build_arc_space,
     coin_operator,
+    complete_graph,
     enumerate_partitions,
     evolution,
     flip_flop_partition,
@@ -31,6 +32,7 @@ from qgwalk import (
     star_graph,
     unitarity_defect,
 )
+from qgwalk.operators import _SPLIT_MIN_ROWS, _permuted_coins
 
 
 def random_instance(rng):
@@ -216,6 +218,135 @@ def test_unitary_norm_and_defect_basics():
     assert abs(operator_norm(u) - 1.0) <= 1e-12
     assert unitarity_defect(u) <= 1e-13
     assert unitarity_defect(0.5 * u) > 0.7
+
+
+# ---------------------------------------------------------------------------
+# residual norms over the blocks of the nonzero pattern
+# ---------------------------------------------------------------------------
+
+# one size on each side of the cutoff below which operator_norm never splits
+NORM_SIZES = [_SPLIT_MIN_ROWS // 4, 3 * _SPLIT_MIN_ROWS]
+
+
+def _complex_gaussian(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _scrambled_blocks(rng, n_rows):
+    """Rectangular complex blocks on a scrambled diagonal, with empty rows and columns."""
+    shapes, used = [], 0
+    while used < n_rows - 4:
+        r = int(rng.integers(1, min(9, n_rows - 3 - used) + 1))
+        shapes.append((r, int(rng.integers(1, 9))))
+        used += r
+    m = np.zeros((n_rows, sum(c for _, c in shapes) + 3), dtype=complex)
+    r0 = c0 = 0
+    for r, c in shapes:
+        m[r0:r0 + r, c0:c0 + c] = _complex_gaussian(rng, (r, c))
+        r0, c0 = r0 + r, c0 + c
+    return m[rng.permutation(m.shape[0])][:, rng.permutation(m.shape[1])], shapes
+
+
+def _svd_shapes(monkeypatch):
+    """Record the shape of every matrix np.linalg.norm is asked for."""
+    shapes, dense = [], np.linalg.norm
+
+    def spy(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return dense(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("n_rows", NORM_SIZES)
+def test_operator_norm_of_scrambled_blocks_matches_the_dense_norm(monkeypatch, n_rows):
+    rng = np.random.default_rng(n_rows)
+    for _ in range(5):
+        m, blocks = _scrambled_blocks(rng, n_rows)
+        expected = np.linalg.norm(m, 2)
+        shapes = _svd_shapes(monkeypatch)
+        assert abs(operator_norm(m) - expected) <= 1e-14 * expected
+        assert sorted(shapes) == ([m.shape] if n_rows < _SPLIT_MIN_ROWS else sorted(blocks))
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n_rows", NORM_SIZES)
+def test_operator_norm_of_dense_and_zero_matrices(monkeypatch, n_rows):
+    m = _complex_gaussian(np.random.default_rng(7), (n_rows, n_rows + 5))
+    expected = np.linalg.norm(m, 2)
+    shapes = _svd_shapes(monkeypatch)
+    assert abs(operator_norm(m) - expected) <= 1e-14 * expected
+    assert shapes == [m.shape]
+    shapes.clear()
+    assert operator_norm(np.zeros((n_rows, n_rows), dtype=complex)) == 0.0
+    assert shapes == ([(n_rows, n_rows)] if n_rows < _SPLIT_MIN_ROWS else [])
+
+
+def test_operator_norm_of_walk_residuals_matches_the_dense_norm(monkeypatch):
+    g = complete_graph(10)
+    space = build_arc_space(g)
+    assert space.size >= _SPLIT_MIN_ROWS
+    rng = np.random.default_rng(10)
+    p, coins = random_partition(g, rng), random_unitary_coins(g, rng)
+    ug = evolution(space, p, coins, "G").matrix
+    ff = flip_flop_partition(g)
+    inverse = np.linalg.inv(evolution(space, ff, coins, "G").matrix)
+    for r in (ug.conj().T @ ug - np.eye(space.size),
+              inverse - evolution(space, ff, coins.dagger(), "A").matrix):
+        expected = np.linalg.norm(r, 2)
+        shapes = _svd_shapes(monkeypatch)
+        assert abs(operator_norm(r) - expected) <= 1e-14 * expected
+        assert len(shapes) > 1 and all(max(shape) < space.size for shape in shapes)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n_rows", NORM_SIZES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_operator_norm_of_non_finite_matrices_follows_the_dense_norm(n_rows, bad):
+    m, _ = _scrambled_blocks(np.random.default_rng(3), n_rows)
+    m[n_rows // 2, 1] = bad
+    try:
+        expected = np.linalg.norm(m, 2)
+    except np.linalg.LinAlgError as exc:
+        with pytest.raises(np.linalg.LinAlgError, match=str(exc)):
+            operator_norm(m)
+    else:
+        assert np.array_equal(operator_norm(m), expected, equal_nan=True)
+
+
+@pytest.mark.parametrize("make_graph", [lambda: star_graph(5), bowtie_graph,
+                                        lambda: complete_graph(6)])
+def test_shift_conjugations_are_exact_gathers(make_graph):
+    """Each residual's gather equals the S^T X S or S X S^T product it replaces."""
+    g = make_graph()
+    space = build_arc_space(g)
+    ff = flip_flop_partition(g)
+    rng = np.random.default_rng(space.size)
+    for _ in range(3):
+        p, coins = random_partition(g, rng), random_unitary_coins(g, rng)
+        s = shift_operator(space, p)
+        ug = evolution(space, p, coins, "G").matrix
+        ua_op = evolution(space, p, coins, "A")
+        perm, inv = ua_op.perm, np.argsort(ua_op.perm)
+        ua = ua_op.matrix
+
+        ua3 = np.linalg.matrix_power(ua, 3)
+        assert np.array_equal(ua3[np.ix_(perm, perm)], s.T @ ua3 @ s)
+        lhs = np.linalg.matrix_power(ug, 3)
+        assert shift_duality_residual(space, p, coins, 3) == operator_norm(lhs - s.T @ ua3 @ s)
+
+        k = _permuted_coins(g, ff, p, coins)
+        x = evolution(space, ff, k.dagger(), "A").matrix.conj().T
+        assert np.array_equal(x[np.ix_(inv, inv)], s @ x @ s.T)
+        assert a_type_reduction_residual(space, p, coins) == operator_norm(ua - s @ x @ s.T)
+
+        assert np.array_equal(ua[np.ix_(perm, perm)], s.T @ ua @ s)
+        off = line_digraph_adjacency(space) == 0.0
+        leaks = [np.abs(op[mask]).max(initial=0.0)
+                 for op, mask in [(ug, off), (s.T @ ua @ s, off)]
+                 + ([(ua, off.T)] if p.is_flip_flop else [])]
+        assert adjacency_support_report(space, p, coins).max_leak == max(leaks)
 
 
 @pytest.mark.parametrize("kind", ["G", "A"])
