@@ -61,7 +61,7 @@ from .operators import (
     partition_change_residual,
     random_unitary_coins,
     shift_duality_residual,
-    shift_operator,
+    shift_permutation,
     unitarity_defect,
 )
 from .quantum_graph import (
@@ -80,6 +80,9 @@ from .szegedy import (
 )
 
 MAX_ARCS = 2000
+# Longest CSV output: every row is built in memory before the atomic write,
+# so a step or sample count past this is a typo, not a run that could finish.
+MAX_CSV_ROWS = 10**7
 
 
 class ConfigError(ValueError):
@@ -182,6 +185,11 @@ def _as_complex(raw) -> complex:
     if isinstance(raw, list) and len(raw) == 2:
         return complex(_float(raw[0], "real part"), _float(raw[1], "imaginary part"))
     raise ConfigError(f"expected a number or [re, im] pair, got {raw!r}")
+
+
+def _check_rows(rows: int, where: str) -> None:
+    if rows > MAX_CSV_ROWS:
+        raise ConfigError(f"'{where}' asks for {rows} CSV rows, over the {MAX_CSV_ROWS} limit")
 
 
 def _check_vertex_count(n: int) -> None:
@@ -354,6 +362,7 @@ def _cmd_evolve(args) -> int:
     steps = _int(section.get("steps", 10), "evolve.steps")
     if steps < 0:
         raise ConfigError("steps must be nonnegative")
+    _check_rows((steps + 1) * g.vertex_count, "evolve.steps")
     initial = section.get("initial", {"arc": list(space.arcs[0])})
     _check_keys(initial, {"arc", "local", "amplitudes"}, "evolve.initial")
     if "arc" in initial:
@@ -485,15 +494,17 @@ def _cmd_qg_eigenfunction(args) -> int:
     # always build the report from the least-defect vector; an off-root k is
     # a verification failure (exit 1 below), not a config error
     root_tol = _float(section.get("root_tol", 1e-9), "eigenfunction.root_tol")
+    samples = _int(section.get("samples_per_edge", 33), "eigenfunction.samples_per_edge")
+    _check_rows(samples * len(g.edges), "eigenfunction.samples_per_edge")
     sv = stationary_vector(g, q, _float(section["k"], "eigenfunction.k"), root_tol=math.inf)
     root_ok = sv.defect <= root_tol
-    samples = _int(section.get("samples_per_edge", 33), "eigenfunction.samples_per_edge")
     sample = sample_eigenfunction(sv, q, samples)
     report = boundary_condition_report(sample, q, tol)
     # the four-way check expects the A-type stationary vector, the shift of
-    # the G-type one returned by stationary_vector
-    shift = shift_operator(sv.space, flip_flop_partition(g))
-    equiv = stationarity_equivalences(g, q, sv.k, shift @ sv.amplitudes)
+    # the G-type one returned by stationary_vector; the flip-flop shift is an
+    # involution, so a gather through its permutation applies it
+    perm = shift_permutation(sv.space, flip_flop_partition(g))
+    equiv = stationarity_equivalences(g, q, sv.k, sv.amplitudes[perm])
 
     rows = []
     for (u, v) in g.edges:

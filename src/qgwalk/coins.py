@@ -239,6 +239,35 @@ def _check_wavenumber(k: float) -> None:
         raise ValueError(f"wavenumber must be positive and finite, got {k}")
 
 
+def _scattering_block(d: int, lam: float, k: float) -> np.ndarray:
+    """Phase-free metric coin sigma(k) = (2 / (d + i lam/k)) J - I; -I at DIRICHLET."""
+    if lam == DIRICHLET:
+        return -np.eye(d, dtype=complex)
+    coeff = 2.0 / d if lam == 0.0 else 2.0 / (d + 1j * lam / k)
+    return coeff * np.ones((d, d)) - np.eye(d)
+
+
+def _metric_coins(g: Graph, q: QuantumGraphParams, k: float,
+                  w: VertexWeights | None = None) -> CoinSet:
+    """diag(arc phases) times sigma(k) at every vertex, or with weights w the
+    projector core (1 + e^{-i rho}) |a><a| - I at every non-DIRICHLET vertex."""
+    _check_wavenumber(k)
+    if q.graph != g or (w is not None and w.graph != g):
+        raise ValueError("parameters belong to a different graph")
+    blocks = {}
+    for j in g.vertices:
+        d = g.degree(j)
+        lam = q.lam(j)
+        if w is None or lam == DIRICHLET:
+            core = _scattering_block(d, lam, k)
+        else:
+            a = w.vector(j)
+            mu = 1.0 + np.exp(-1j * boundary_phase(lam, d, k))
+            core = mu * np.outer(a, a.conj()) - np.eye(d)
+        blocks[j] = _arc_phases(g, q, j, k)[:, None] * core
+    return CoinSet(blocks)
+
+
 def quantum_graph_coins(g: Graph, q: QuantumGraphParams, k: float) -> CoinSet:
     """Metric-graph coin at wavenumber k.
 
@@ -246,21 +275,7 @@ def quantum_graph_coins(g: Graph, q: QuantumGraphParams, k: float) -> CoinSet:
     rows reduce exactly to the Grover reflection; DIRICHLET gives -I times
     the phases.
     """
-    _check_wavenumber(k)
-    if q.graph != g:
-        raise ValueError("parameters belong to a different graph")
-    blocks = {}
-    for j in g.vertices:
-        d = g.degree(j)
-        lam = q.lam(j)
-        ph = _arc_phases(g, q, j, k)
-        if lam == DIRICHLET:
-            core = -np.eye(d, dtype=complex)
-        else:
-            coeff = 2.0 / d if lam == 0.0 else 2.0 / (d + 1j * lam / k)
-            core = coeff * np.ones((d, d)) - np.eye(d)
-        blocks[j] = ph[:, None] * core
-    return CoinSet(blocks)
+    return _metric_coins(g, q, k)
 
 
 def boundary_phase(lam: float, d: int, k: float) -> float:
@@ -281,19 +296,4 @@ def projector_coins(g: Graph, q: QuantumGraphParams, w: VertexWeights, k: float)
     boundary phase and a the unit weight vector at j.  Uniform weights
     reproduce ``quantum_graph_coins`` up to rounding.
     """
-    _check_wavenumber(k)
-    if q.graph != g or w.graph != g:
-        raise ValueError("parameters belong to a different graph")
-    blocks = {}
-    for j in g.vertices:
-        d = g.degree(j)
-        lam = q.lam(j)
-        ph = _arc_phases(g, q, j, k)
-        if lam == DIRICHLET:
-            core = -np.eye(d, dtype=complex)
-        else:
-            a = w.vector(j)
-            mu = 1.0 + np.exp(-1j * boundary_phase(lam, d, k))
-            core = mu * np.outer(a, a.conj()) - np.eye(d)
-        blocks[j] = ph[:, None] * core
-    return CoinSet(blocks)
+    return _metric_coins(g, q, k, w)

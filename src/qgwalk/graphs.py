@@ -238,14 +238,8 @@ class ArcSpace:
         except KeyError:
             raise ValueError(f"{tuple(arc)} is not an arc of the graph") from None
 
-    def reverse(self, arc: Arc) -> Arc:
-        return (arc[1], arc[0])
-
     def origin_slice(self, v: int) -> slice:
         return self._origin_slices[v]
-
-    def neighbor_order(self, v: int) -> tuple[int, ...]:
-        return self.graph.neighbors(v)
 
     def local_index(self, v: int, w: int) -> int:
         """Position of terminus w within the local basis at vertex v."""
@@ -303,60 +297,68 @@ class Partition:
     ``successors`` maps each arc (i, j) to the vertex f(i, j) such that
     ((i, j), (j, f(i, j))) lies on one of the cycles.  At every vertex j the
     map i -> f(i, j) is a bijection of the neighbourhood of j onto itself.
-    Construct through :meth:`from_successors` or :meth:`from_cycles`; both
-    canonicalize the cycle listing (each cycle starts at its smallest arc,
-    cycles sorted by first arc).
+    The successor map is the only stored form; ``cycles`` is derived from it
+    in canonical order (each cycle starts at its smallest arc, cycles sorted
+    by first arc).  Construct through :meth:`from_successors` or
+    :meth:`from_cycles`.
     """
 
     graph: Graph
-    cycles: tuple[tuple[Arc, ...], ...]
     successors: dict
 
     def __post_init__(self):
         g = self.graph
         arcs = {(u, v) for u, v in g.edges} | {(v, u) for u, v in g.edges}
+        missing = sorted(arcs - set(self.successors))
+        if missing:
+            raise ValueError(f"successor map missing arcs, e.g. {missing[0]}")
         if set(self.successors) != arcs:
             raise ValueError("successor map must cover exactly the arc set")
-        for (i, j), m in self.successors.items():
-            if m not in g.neighbors(j):
+        for i, j in sorted(arcs):
+            m = self.successors[(i, j)]
+            if not g.has_edge(j, m):
                 raise ValueError(f"successor of {(i, j)} is {m}, not a neighbour of {j}")
         for j in g.vertices:
             image = {self.successors[(i, j)] for i in g.neighbors(j)}
             if image != set(g.neighbors(j)):
                 raise ValueError(f"successor map is not a bijection at vertex {j}")
-        seen: set[Arc] = set()
-        for cyc in self.cycles:
-            if len(set(cyc)) != len(cyc):
-                raise ValueError("cycle repeats an arc (not essential)")
-            for idx, (u, v) in enumerate(cyc):
-                nxt = cyc[(idx + 1) % len(cyc)]
-                if nxt[0] != v:
-                    raise ValueError(f"cycle arcs {(u, v)} -> {nxt} do not compose")
-                if self.successors[(u, v)] != nxt[1]:
-                    raise ValueError("cycle listing disagrees with successor map")
-            if seen & set(cyc):
-                raise ValueError("cycles are not disjoint")
-            seen |= set(cyc)
-        if seen != arcs:
-            raise ValueError("cycles do not cover the arc set")
 
     @classmethod
     def from_successors(cls, graph: Graph, successors: dict) -> "Partition":
-        succ = {(int(a[0]), int(a[1])): int(m) for a, m in successors.items()}
-        cycles = _cycles_from_successors(graph, succ)
-        return cls(graph, cycles, succ)
+        return cls(graph, {(int(a[0]), int(a[1])): int(m) for a, m in successors.items()})
 
     @classmethod
     def from_cycles(cls, graph: Graph, cycles) -> "Partition":
+        """From a cycle listing, in which each arc must compose with the next
+        (the last with the first) and no arc may appear twice."""
         succ: dict[Arc, int] = {}
         for cyc in cycles:
             cyc = [tuple(a) for a in cyc]
             for idx, (u, v) in enumerate(cyc):
                 nxt = cyc[(idx + 1) % len(cyc)]
+                if nxt[0] != v:
+                    raise ValueError(f"cycle arcs {(u, v)} -> {nxt} do not compose")
                 if (u, v) in succ:
                     raise ValueError(f"arc {(u, v)} appears in more than one cycle")
                 succ[(u, v)] = nxt[1]
         return cls.from_successors(graph, succ)
+
+    @cached_property
+    def cycles(self) -> tuple[tuple[Arc, ...], ...]:
+        """The orbits of the arc map (i, j) -> (j, f(i, j)), in canonical order."""
+        seen: set[Arc] = set()
+        cycles = []
+        for a in sorted(self.successors):
+            if a in seen:
+                continue
+            cyc = [a]
+            b = (a[1], self.successors[a])
+            while b != a:
+                cyc.append(b)
+                b = (b[1], self.successors[b])
+            seen.update(cyc)
+            cycles.append(tuple(cyc))
+        return tuple(cycles)
 
     def successor(self, i: int, j: int) -> int:
         """f(i, j): continuation vertex of arc (i, j) along its cycle."""
@@ -368,32 +370,6 @@ class Partition:
     @property
     def is_flip_flop(self) -> bool:
         return all(m == i for (i, _j), m in self.successors.items())
-
-
-def _cycles_from_successors(graph: Graph, succ: dict) -> tuple:
-    arcs = sorted({(u, v) for u, v in graph.edges} | {(v, u) for u, v in graph.edges})
-    missing = [a for a in arcs if a not in succ]
-    if missing:
-        raise ValueError(f"successor map missing arcs, e.g. {missing[0]}")
-    for i, j in arcs:
-        if not graph.has_edge(j, succ[(i, j)]):
-            raise ValueError(f"successor of {(i, j)} is {succ[(i, j)]}, not a neighbour of {j}")
-    seen: set[Arc] = set()
-    cycles = []
-    for a in arcs:
-        if a in seen:
-            continue
-        cyc = [a]
-        seen.add(a)
-        b = (a[1], succ[a])
-        while b != a:
-            if b in seen:
-                raise ValueError("successor map is not a permutation of the arcs")
-            cyc.append(b)
-            seen.add(b)
-            b = (b[1], succ[b])
-        cycles.append(tuple(cyc))
-    return tuple(cycles)
 
 
 def flip_flop_partition(g: Graph) -> Partition:

@@ -228,7 +228,11 @@ def shift_permutation(space: ArcSpace, p: Partition) -> np.ndarray:
 
 
 def shift_operator(space: ArcSpace, p: Partition) -> np.ndarray:
-    """Permutation matrix sending arc (i, j) to (j, f(i, j))."""
+    """Permutation matrix sending arc (i, j) to (j, f(i, j)).
+
+    The package itself works from ``shift_permutation``; this dense form is
+    the reference that the gathers and scatters are checked against.
+    """
     n = space.size
     s = np.zeros((n, n))
     s[shift_permutation(space, p), np.arange(n)] = 1.0

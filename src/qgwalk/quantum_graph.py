@@ -5,6 +5,11 @@ A wavenumber k is an eigenvalue of the underlying differential problem
 exactly when U(k) has eigenvalue 1; the smallest singular value of I - U(k)
 is the root indicator scanned and refined here.
 
+Every dense evaluation of U(k) here (scan grid, refinement, multiplicity,
+indicator, stationary vector, the factorization residual) is the coin
+operator C(k) with its columns gathered through the flip-flop shift
+permutation: the entries of C S, with no product and no shift matrix.
+
 A stationary vector x of U(k) carries, on arc (i, j), the amplitude of the
 wave outgoing from i after propagating the whole edge; dividing out that
 propagation phase gives the outgoing amplitude at the near end,
@@ -36,12 +41,13 @@ from .coins import (
     DIRICHLET,
     QuantumGraphParams,
     VertexWeights,
+    _scattering_block,
     boundary_phase,
     projector_coins,
     quantum_graph_coins,
 )
 from .graphs import ArcSpace, Graph, build_arc_space, flip_flop_partition
-from .operators import EvolutionOperator, coin_operator, evolution, shift_operator
+from .operators import CoinSet, EvolutionOperator, coin_operator, evolution, shift_permutation
 
 __all__ = [
     "PoleProximityError",
@@ -77,14 +83,26 @@ def quantum_graph_walk(g: Graph, q: QuantumGraphParams, k: float) -> EvolutionOp
     return evolution(space, flip_flop_partition(g), quantum_graph_coins(g, q, k), "G")
 
 
-def _walk_matrix(space: ArcSpace, q: QuantumGraphParams, shift: np.ndarray, k: float) -> np.ndarray:
-    return coin_operator(space, quantum_graph_coins(space.graph, q, k)) @ shift
+def _flip_flop_space(g: Graph) -> tuple[ArcSpace, np.ndarray]:
+    space = build_arc_space(g)
+    return space, shift_permutation(space, flip_flop_partition(g))
+
+
+def _dense_walk(space: ArcSpace, perm: np.ndarray, q: QuantumGraphParams, k: float) -> np.ndarray:
+    """Dense U(k) = C(k) S: the coin operator's columns gathered through ``perm``."""
+    return coin_operator(space, quantum_graph_coins(space.graph, q, k))[:, perm]
+
+
+def _gap(space: ArcSpace, perm: np.ndarray, q: QuantumGraphParams,
+         k: float) -> tuple[np.ndarray, np.ndarray]:
+    """I - U(k) and its singular values, largest first."""
+    gap = np.eye(space.size) - _dense_walk(space, perm, q, k)
+    return gap, np.linalg.svd(gap, compute_uv=False)
 
 
 def stationarity_indicator(g: Graph, q: QuantumGraphParams, k: float) -> float:
     """Smallest singular value of I - U(k); zero exactly at eigenvalues."""
-    u = quantum_graph_walk(g, q, k).matrix
-    return float(np.linalg.svd(np.eye(u.shape[0]) - u, compute_uv=False)[-1])
+    return float(_gap(*_flip_flop_space(g), q, k)[1][-1])
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +149,14 @@ def _golden_minimize(f, lo: float, hi: float, xtol: float) -> tuple[float, float
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
+            if not a < c < d:
+                break  # no float left strictly inside: the bracket cannot shrink
             fc = probe(c)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
+            if not c < d < b:
+                break  # as above
             fd = probe(d)
     best_y, best_x = min(evaluations)
     return best_x, best_y
@@ -155,10 +177,13 @@ def scan_roots(g: Graph, q: QuantumGraphParams, k_min: float, k_max: float,
     section to ``refine_tol``, and accepts a root when the refined indicator
     is at most ``root_tol``.  Multiplicity counts singular values of
     I - U(k) below 1e-8.  A grid over ``MAX_GRID_POINTS`` points, given or
-    defaulted, is rejected before anything is allocated.
+    defaulted, is rejected before anything is allocated, and so is a
+    ``refine_tol`` that is not positive.
     """
     if not (0.0 < k_min < k_max < math.inf):
         raise ValueError("need 0 < k_min < k_max < inf")
+    if not refine_tol > 0.0:
+        raise ValueError(f"refine_tol must be positive, got {refine_tol!r}")
     zero = [e for e, length in q.lengths.items() if length == 0.0]
     if zero:
         raise ValueError(f"cannot scan with zero-length edges: {zero}")
@@ -169,30 +194,20 @@ def scan_roots(g: Graph, q: QuantumGraphParams, k_min: float, k_max: float,
     if grid_points > MAX_GRID_POINTS:
         raise ValueError(f"scan grid of {grid_points} points is over the "
                          f"{MAX_GRID_POINTS} limit; narrow [k_min, k_max] or set grid_points")
-    space = build_arc_space(g)
-    shift = shift_operator(space, flip_flop_partition(g))
-    eye = np.eye(space.size)
+    space, perm = _flip_flop_space(g)
     weights = VertexWeights.uniform(g)
     ks = np.linspace(k_min, k_max, grid_points)
-
-    def indicator(k: float) -> float:
-        return float(np.linalg.svd(eye - _walk_matrix(space, q, shift, k),
-                                   compute_uv=False)[-1])
-
-    def grid_eval(k: float) -> tuple[float, complex, complex]:
-        u = _walk_matrix(space, q, shift, k)
-        ind = float(np.linalg.svd(eye - u, compute_uv=False)[-1])
-        det = complex(np.linalg.det(eye - u))
+    indicators = np.empty(grid_points)
+    dets = np.empty(grid_points, dtype=complex)
+    reduced = np.empty(grid_points, dtype=complex)
+    for i, k in enumerate(ks):
+        gap, svals = _gap(space, perm, q, k)
+        indicators[i] = svals[-1]
+        dets[i] = np.linalg.det(gap)
         try:
-            red = reduced_secular_determinant(g, q, float(k), 1.0, weights)
+            reduced[i] = reduced_secular_determinant(g, q, float(k), 1.0, weights)
         except PoleProximityError:
-            red = complex(float("nan"), float("nan"))
-        return ind, det, red
-
-    rows = [grid_eval(k) for k in ks]
-    indicators = np.array([r[0] for r in rows])
-    dets = np.array([r[1] for r in rows])
-    reduced = np.array([r[2] for r in rows])
+            reduced[i] = complex(float("nan"), float("nan"))
 
     candidates = []
     for i in range(grid_points):
@@ -205,10 +220,10 @@ def scan_roots(g: Graph, q: QuantumGraphParams, k_min: float, k_max: float,
 
     found = []
     for lo, hi in candidates:
-        k_star, val = _golden_minimize(indicator, float(lo), float(hi), refine_tol)
+        k_star, val = _golden_minimize(lambda k: float(_gap(space, perm, q, k)[1][-1]),
+                                       float(lo), float(hi), refine_tol)
         if val <= root_tol:
-            svals = np.linalg.svd(eye - _walk_matrix(space, q, shift, k_star),
-                                  compute_uv=False)
+            svals = _gap(space, perm, q, k_star)[1]
             found.append(Root(k_star, val, int(np.sum(svals <= 1e-8))))
 
     found.sort(key=lambda r: r.k)
@@ -244,16 +259,15 @@ def stationary_vector(g: Graph, q: QuantumGraphParams, k: float,
     The global phase is fixed by making the largest-magnitude component real
     and positive (first such index on ties).
     """
-    op = quantum_graph_walk(g, q, k)
-    u = op.matrix
-    _, svals, vh = np.linalg.svd(np.eye(u.shape[0]) - u)
+    space, perm = _flip_flop_space(g)
+    _, svals, vh = np.linalg.svd(np.eye(space.size) - _dense_walk(space, perm, q, k))
     defect = float(svals[-1])
     if defect > root_tol:
         raise ValueError(f"indicator {defect:.3e} at k={k!r}; not a root within {root_tol:g}")
     vec = vh[-1].conj()
     pivot = int(np.argmax(np.abs(vec)))
     vec = vec * (vec[pivot].conjugate() / abs(vec[pivot]))
-    return StationaryVector(op.space, k, vec, defect)
+    return StationaryVector(space, k, vec, defect)
 
 
 def outgoing_amplitudes(space: ArcSpace, q: QuantumGraphParams, k: float,
@@ -410,8 +424,7 @@ def characteristic_determinant(g: Graph, q: QuantumGraphParams, k: float, t: com
     if weights is None:
         weights = VertexWeights.uniform(g)
     space = build_arc_space(g)
-    u = coin_operator(space, projector_coins(g, q, weights, k)) @ \
-        shift_operator(space, flip_flop_partition(g))
+    u = evolution(space, flip_flop_partition(g), projector_coins(g, q, weights, k), "G").matrix
     return complex(np.linalg.det(np.eye(space.size) - t * u))
 
 
@@ -464,16 +477,12 @@ def reduced_secular_determinant(g: Graph, q: QuantumGraphParams, k: float, t: co
             alpha_l = weights.vector(l)
             phase = np.exp(1j * q.length(i, l) * (k + q.arc_potential(i, l)))
             big_t[i - 1, l - 1] = (mi * np.conj(alpha_i[pos])
-                                   * alpha_l[_local(g, l, i)] * phase / dl)
+                                   * alpha_l[g.neighbors(l).index(i)] * phase / dl)
         big_d[i - 1, i - 1] = mi * acc
 
     core = np.eye(n) - t * big_t + t * t * big_d
     prefactor = complex(np.prod([delta[e] for e in g.edges]))
     return prefactor * complex(np.linalg.det(core))
-
-
-def _local(g: Graph, v: int, w: int) -> int:
-    return g.neighbors(v).index(w)
 
 
 def stationarity_equivalences(g: Graph, q: QuantumGraphParams, k: float,
@@ -489,8 +498,8 @@ def stationarity_equivalences(g: Graph, q: QuantumGraphParams, k: float,
     space = build_arc_space(g)
     p = flip_flop_partition(g)
     coins = quantum_graph_coins(g, q, k)
-    s = shift_operator(space, p)
-    b = s @ a
+    # the flip-flop shift is an involution, so a gather through it is S a
+    b = a[shift_permutation(space, p)]
     ua = evolution(space, p, coins, "A").matrix
     ug = evolution(space, p, coins, "G").matrix
     ua_d = evolution(space, p, coins.dagger(), "A").matrix
@@ -519,22 +528,11 @@ def scattering_factorization(g: Graph, q: QuantumGraphParams, k: float) -> Scatt
     (2 / (d_j + i lam_j / k)) J - I, or -I at a DIRICHLET vertex.  The
     returned residual is the spectral-norm defect of the factorization.
     """
-    from .operators import CoinSet
-
     space = build_arc_space(g)
-    p = flip_flop_partition(g)
-    blocks = {}
-    for j in g.vertices:
-        d = g.degree(j)
-        lam = q.lam(j)
-        if lam == DIRICHLET:
-            blocks[j] = -np.eye(d, dtype=complex)
-        else:
-            coeff = 2.0 / d if lam == 0.0 else 2.0 / (d + 1j * lam / k)
-            blocks[j] = coeff * np.ones((d, d)) - np.eye(d)
-    vertex_step = evolution(space, p, CoinSet(blocks), "G")
+    sigma = CoinSet({j: _scattering_block(g.degree(j), q.lam(j), k) for j in g.vertices})
+    vertex_step = evolution(space, flip_flop_partition(g), sigma, "G")
     phases = np.array([np.exp(1j * q.length(i, j) * (k - q.arc_potential(i, j)))
                        for (i, j) in space.arcs])
-    u = quantum_graph_walk(g, q, k).matrix
+    u = _dense_walk(space, vertex_step.perm, q, k)
     residual = float(np.linalg.norm(u - phases[:, None] * vertex_step.matrix, 2))
     return ScatteringFactorization(vertex_step, phases, residual)

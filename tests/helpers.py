@@ -247,6 +247,22 @@ def generic_params(g: Graph, rng: np.random.Generator,
     return QuantumGraphParams.build(g, lengths, lambdas, potentials)
 
 
+def metric_cases() -> list[tuple[Graph, QuantumGraphParams]]:
+    """A 3-leaf star with delta, Dirichlet and magnetic terms, and K4 with all three."""
+    star = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)])
+    k4 = Graph.from_edges(4, [(u, v) for u in range(1, 5) for v in range(u + 1, 5)])
+    return [
+        (star, QuantumGraphParams.build(
+            star, lengths={(1, 2): 1.0, (1, 3): 0.8, (1, 4): 1.3},
+            potentials={(1, 2): 0.4, (1, 3): 0.0, (1, 4): -0.2},
+            lambdas={1: 0.7, 2: 0.0, 3: 2.5, 4: DIRICHLET})),
+        (k4, QuantumGraphParams.build(
+            k4, lengths={e: 0.5 + 0.15 * i for i, e in enumerate(k4.edges)},
+            potentials={e: 0.3 - 0.2 * i for i, e in enumerate(k4.edges)},
+            lambdas={1: 0.0, 2: 1.2, 3: DIRICHLET, 4: 0.35})),
+    ]
+
+
 def coin_families(g: Graph, rng: np.random.Generator, k: float = 1.3) -> dict:
     """Every supported coin family on g, seeded where randomness enters."""
     q = generic_params(g, rng, dirichlet=True)

@@ -283,3 +283,41 @@ def test_oversize_scan_grid_is_a_config_error(tmp_path, capsys, scan, points):
     assert run(tmp_path, dict(SCAN_CONFIG, scan=scan), "qg-scan") == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: scan grid of {points} points is over the 1000000 limit")
+
+
+REFINE_CONFIG = dict(SCAN_CONFIG, scan={"k_min": 3.0, "k_max": 3.3, "grid_points": 50})
+
+
+@pytest.mark.parametrize("tol", [0, -1, math.nan])
+def test_nonpositive_refine_tol_is_a_config_error(tmp_path, capsys, tol):
+    config = dict(REFINE_CONFIG, scan=dict(REFINE_CONFIG["scan"], refine_tol=tol))
+    assert run(tmp_path, config, "qg-scan") == 2
+    assert capsys.readouterr().err.startswith("error: refine_tol must be positive, got ")
+
+
+def test_refine_tol_under_the_float_spacing_still_ends(tmp_path):
+    def roots(config, sub):
+        out = tmp_path / sub
+        out.mkdir()
+        assert run(out, config, "qg-scan") == 0
+        return [[float(x) for x in line.split(",")] for line in csv_lines(out, "roots.csv")[1:]]
+
+    default = roots(REFINE_CONFIG, "default")
+    tiny = roots(dict(REFINE_CONFIG, scan=dict(REFINE_CONFIG["scan"], refine_tol=1e-300)),
+                 "tiny")
+    assert len(default) == len(tiny) == 1
+    assert abs(tiny[0][0] - default[0][0]) <= 1e-9 and abs(tiny[0][0] - math.pi) <= 1e-9
+    assert tiny[0][2] == default[0][2] == 1
+
+
+@pytest.mark.parametrize("command,config,message", [
+    ("evolve", dict(EVOLVE_CONFIG, evolve={"steps": 10**12}),
+     "error: 'evolve.steps' asks for 4000000000004 CSV rows, over the 10000000 limit"),
+    ("qg-eigenfunction",
+     dict(EIGEN_CONFIG, eigenfunction={"k": math.pi, "samples_per_edge": 10**12}),
+     "error: 'eigenfunction.samples_per_edge' asks for 1000000000000 CSV rows, "
+     "over the 10000000 limit"),
+])
+def test_oversize_output_is_a_config_error(tmp_path, capsys, command, config, message):
+    assert run(tmp_path, config, command) == 2
+    assert capsys.readouterr().err == message + "\n"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import c4_graph, generic_params, random_weights
+from helpers import c4_graph, generic_params, metric_cases, random_weights
 from qgwalk import (
     DIRICHLET,
     Graph,
@@ -275,6 +275,23 @@ def test_metric_coin_phase_sits_on_the_row_index():
     for row, m in enumerate((2, 3, 4)):
         phase = np.exp(1j * q.length(1, m) * (k - q.arc_potential(1, m)))
         assert np.abs(h[row] - phase * core[row]).max() <= 1e-14
+
+
+def test_metric_coin_is_the_phased_scattering_block_exactly():
+    # block j = diag(arc phases) sigma_j(k), sigma_j = (2 / (d + i lam/k)) J - I
+    # and -I at a Dirichlet vertex, entry for entry
+    for g, q in metric_cases():
+        for k in (0.9, 2.7):
+            coins = quantum_graph_coins(g, q, k)
+            for j in g.vertices:
+                d, lam = g.degree(j), q.lam(j)
+                phases = np.array([np.exp(1j * q.length(j, m) * (k - q.arc_potential(j, m)))
+                                   for m in g.neighbors(j)])
+                if lam == DIRICHLET:
+                    sigma = -np.eye(d)
+                else:
+                    sigma = 2.0 / (d + 1j * lam / k) * np.ones((d, d)) - np.eye(d)
+                assert np.array_equal(coins.block(j), phases[:, None] * sigma)
 
 
 def test_metric_coins_unitary_across_parameter_sweep():

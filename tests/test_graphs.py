@@ -112,14 +112,13 @@ def test_c4_arcs_lexicographic():
 def test_s3_arcs_and_neighbor_order():
     space = build_arc_space(s3())
     assert space.size == 6
-    assert space.neighbor_order(1) == (2, 3, 4)
+    assert space.graph.neighbors(1) == (2, 3, 4)
 
 
 def test_arc_index_roundtrip_and_blocks():
     space = build_arc_space(s3())
     for idx, (u, v) in enumerate(space.arcs):
         assert space.index_of((u, v)) == idx
-        assert space.reverse((u, v)) == (v, u)
     sl = space.origin_slice(1)
     assert [space.arcs[i] for i in range(sl.start, sl.stop)] == [(1, 2), (1, 3), (1, 4)]
     assert space.local_index(1, 3) == 1
@@ -232,6 +231,15 @@ def test_from_cycles_roundtrip():
     g = c4_graph()
     p = Partition.from_successors(g, C4_P3)
     assert Partition.from_cycles(g, p.cycles) == p
+
+
+def test_from_cycles_rejects_arcs_that_do_not_compose():
+    # every arc of K4 exactly once, but (3, 2) does not lead back to (1, 3):
+    # the listing is not a partition, and no other one may come back for it
+    listing = [[(1, 3), (3, 2)], [(4, 2), (3, 1), (1, 4)],
+               [(3, 4), (4, 3), (2, 1), (1, 2)], [(4, 1), (2, 3), (2, 4)]]
+    with pytest.raises(ValueError, match=r"cycle arcs \(3, 2\) -> \(1, 3\) do not compose"):
+        Partition.from_cycles(complete_graph(4), listing)
 
 
 def test_invalid_partitions_rejected():

@@ -9,6 +9,7 @@ from helpers import (
     equilateral_star_roots,
     generic_params,
     interval_roots,
+    metric_cases,
     random_weights,
     star_neumann_shooting_roots,
 )
@@ -40,6 +41,7 @@ from qgwalk import (
     stationarity_indicator,
     stationary_vector,
 )
+from qgwalk.quantum_graph import _dense_walk, _flip_flop_space
 
 K2 = Graph.from_edges(2, [(1, 2)])
 UNIT_INTERVAL = QuantumGraphParams.build(K2)
@@ -81,6 +83,16 @@ def test_zero_length_limit_is_the_grover_walk():
         assert np.abs(walk - grover).max() == 0.0
 
 
+def test_solver_walk_equals_the_evolution_operator_exactly():
+    # the scan's U(k), a column gather of the coin operator, against the
+    # matrix scattered from the permutation and the coin blocks
+    for g, q in metric_cases():
+        space, perm = _flip_flop_space(g)
+        for k in (0.9, 2.7, 5.3):
+            assert np.array_equal(_dense_walk(space, perm, q, k),
+                                  quantum_graph_walk(g, q, k).matrix)
+
+
 def test_walk_is_unitary_with_generic_parameters():
     rng = np.random.default_rng(23)
     for g in (HARD_STAR, cycle_graph(5), complete_graph(4)):
@@ -104,6 +116,12 @@ def test_indicator_at_the_antiroot_is_sqrt_two():
     # U(pi/2) = i S, so I - U has singular values |1 -+ i| = sqrt(2)
     value = stationarity_indicator(K2, UNIT_INTERVAL, math.pi / 2)
     assert abs(value - math.sqrt(2.0)) <= 1e-12
+
+
+def test_scan_grid_indicators_equal_the_indicator_exactly():
+    for g, q in metric_cases():
+        scan = scan_roots(g, q, 0.5, 3.0, grid_points=25)
+        assert [stationarity_indicator(g, q, k) for k in scan.ks] == scan.indicators.tolist()
 
 
 def test_interval_neumann_scan():
@@ -185,6 +203,9 @@ def test_scan_rejects_bad_inputs():
         scan_roots(K2, UNIT_INTERVAL, 0.5, 3.0, grid_points=2)
     with pytest.raises(ValueError):
         scan_roots(K2, QuantumGraphParams.build(K2, lengths=0.0), 0.5, 3.0)
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="refine_tol must be positive"):
+            scan_roots(K2, UNIT_INTERVAL, 3.0, 3.3, grid_points=50, refine_tol=tol)
 
 
 # ---------------------------------------------------------------------------
