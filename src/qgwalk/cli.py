@@ -10,15 +10,17 @@ Subcommands (each reads a JSON config and writes into --out):
 * partitions        partitions.csv
 
 Exit code 0 on success, 1 when a requested verification fails, 2 on invalid
-configuration or input.  Floats are printed with repr-faithful precision
-(%.17g) and files are written atomically, so repeated runs with the same
-config and seed produce identical bytes.
+configuration or input.  Every CSV goes through one writer that formats each
+row with a %-template (floats as %.17g, repr-faithful) and ends lines with
+CRLF.  Rows are streamed in fixed-size chunks, so no file's rows are all held
+in memory, and each file is written to a temporary name and moved into place,
+so a failed run leaves no partial file.  Repeated runs with the same config
+and seed produce identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -80,9 +82,12 @@ from .szegedy import (
 )
 
 MAX_ARCS = 2000
-# Longest CSV output: every row is built in memory before the atomic write,
-# so a step or sample count past this is a typo, not a run that could finish.
+# Longest CSV output.  Rows are streamed, so this bounds the size of a file
+# (about 0.3 GB of distribution.csv), not memory; a step or sample count past
+# it is a typo, not a run anyone means to read.
 MAX_CSV_ROWS = 10**7
+# Rows formatted per write while streaming a CSV.
+_CHUNK_ROWS = 65536
 
 
 class ConfigError(ValueError):
@@ -94,18 +99,25 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+def _atomic_write_csv(path: str, header: list, fmt: str, rows) -> None:
+    """Write ``header`` and then ``fmt % row`` for each tuple in ``rows``.
 
-
-def _atomic_write_csv(path: str, header: list, rows: list) -> None:
+    ``fmt`` is one row's %-template, such as ``"%d,%d,%.17g"``.  For Python
+    floats ``"%.17g" % x`` equals ``format(x, ".17g")``, and lines end in
+    CRLF, so on cells that need no quoting the bytes are csv.writer's.  Rows
+    are formatted and written ``_CHUNK_ROWS`` at a time into a temporary file
+    that replaces ``path`` only once it is complete.
+    """
+    line = fmt + "\r\n"
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            fh.write(",".join(header) + "\r\n")
+            rows = iter(rows)
+            # range first, so zip stops without taking the next chunk's first row
+            while chunk := [line % row for _, row in zip(range(_CHUNK_ROWS), rows)]:
+                fh.write("".join(chunk))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -382,11 +394,11 @@ def _cmd_evolve(args) -> int:
     else:
         raise ConfigError("evolve.initial needs 'arc', 'local', or 'amplitudes'")
 
-    rows = [[step, v, _fmt(prob)]
-            for step, probs in enumerate(probability_history(op, state, steps))
-            for v, prob in zip(g.vertices, probs)]
+    history = probability_history(op, state, steps).tolist()
     _atomic_write_csv(os.path.join(args.out, "distribution.csv"),
-                      ["step", "vertex", "probability"], rows)
+                      ["step", "vertex", "probability"], "%d,%d,%.17g",
+                      ((step, v, prob) for step, probs in enumerate(history)
+                       for v, prob in zip(g.vertices, probs)))
     return 0
 
 
@@ -412,10 +424,9 @@ def _cmd_verify(args) -> int:
         ("a_type_reduction", a_type_reduction_residual(space, p, coins)),
         ("adjacency_support", support.max_leak),
     ]
-    rows = [[name, _fmt(residual), _fmt(tol), str(residual <= tol)]
-            for name, residual in checks]
     _atomic_write_csv(os.path.join(args.out, "identities.csv"),
-                      ["identity", "residual", "tolerance", "pass"], rows)
+                      ["identity", "residual", "tolerance", "pass"], "%s,%.17g,%.17g,%s",
+                      [(name, residual, tol, residual <= tol) for name, residual in checks])
     return 0 if all(residual <= tol for _, residual in checks) else 1
 
 
@@ -435,16 +446,16 @@ def _cmd_szegedy(args) -> int:
     computed = direct_spectrum(szegedy_walk(space, t))
     match = compare_spectra(eigenvalues, computed, tol)
 
-    rows = [[i, _fmt(pv.real), _fmt(pv.imag), _fmt(cv.real), _fmt(cv.imag)]
-            for i, (pv, cv) in enumerate(zip(eigenvalues, computed))]
     _atomic_write_csv(os.path.join(args.out, "spectrum.csv"),
                       ["index", "predicted_re", "predicted_im",
-                       "computed_re", "computed_im"], rows)
+                       "computed_re", "computed_im"], "%d,%.17g,%.17g,%.17g,%.17g",
+                      [(i, pv.real, pv.imag, cv.real, cv.imag)
+                       for i, (pv, cv) in enumerate(zip(eigenvalues, computed))])
     _atomic_write_csv(os.path.join(args.out, "matching.csv"),
                       ["case", "size", "max_angle_error", "shift",
-                       "max_lift_residual", "ok"],
-                      [[case, space.size, _fmt(match.max_angle_error),
-                        match.shift, _fmt(lift_residual), str(match.ok)]])
+                       "max_lift_residual", "ok"], "%s,%d,%.17g,%d,%.17g,%s",
+                      [(case, space.size, match.max_angle_error, match.shift,
+                        lift_residual, match.ok)])
     return 0 if match.ok else 1
 
 
@@ -467,17 +478,16 @@ def _cmd_qg_scan(args) -> int:
         bracket_threshold=_float(section.get("bracket_threshold", 0.1),
                                  "scan.bracket_threshold"))
 
-    rows = [[_fmt(k), _fmt(ind), _fmt(det.real), _fmt(det.imag),
-             _fmt(red.real), _fmt(red.imag)]
-            for k, ind, det, red in zip(scan.ks, scan.indicators,
-                                        scan.determinants, scan.reduced_determinants)]
+    dets, reduced = scan.determinants, scan.reduced_determinants
     _atomic_write_csv(os.path.join(args.out, "scan.csv"),
                       ["k", "indicator", "det_re", "det_im",
-                       "reduced_re", "reduced_im"], rows)
+                       "reduced_re", "reduced_im"], "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g",
+                      zip(scan.ks.tolist(), scan.indicators.tolist(),
+                          dets.real.tolist(), dets.imag.tolist(),
+                          reduced.real.tolist(), reduced.imag.tolist()))
     _atomic_write_csv(os.path.join(args.out, "roots.csv"),
-                      ["k", "indicator", "multiplicity"],
-                      [[_fmt(r.k), _fmt(r.indicator), r.multiplicity]
-                       for r in scan.roots])
+                      ["k", "indicator", "multiplicity"], "%.17g,%.17g,%d",
+                      [(r.k, r.indicator, r.multiplicity) for r in scan.roots])
     return 0
 
 
@@ -506,21 +516,19 @@ def _cmd_qg_eigenfunction(args) -> int:
     perm = shift_permutation(sv.space, flip_flop_partition(g))
     equiv = stationarity_equivalences(g, q, sv.k, sv.amplitudes[perm])
 
-    rows = []
-    for (u, v) in g.edges:
-        for x, val in zip(sample.edge_xs[(u, v)], sample.edge_values[(u, v)]):
-            rows.append([u, v, _fmt(x), _fmt(val.real), _fmt(val.imag)])
+    xs, values = sample.edge_xs, sample.edge_values
     _atomic_write_csv(os.path.join(args.out, "eigenfunction.csv"),
-                      ["edge_u", "edge_v", "x", "value_re", "value_im"], rows)
+                      ["edge_u", "edge_v", "x", "value_re", "value_im"], "%d,%d,%.17g,%.17g,%.17g",
+                      ((u, v, x, re, im) for (u, v) in g.edges
+                       for x, re, im in zip(xs[(u, v)].tolist(), values[(u, v)].real.tolist(),
+                                            values[(u, v)].imag.tolist())))
     _atomic_write_csv(os.path.join(args.out, "boundary.csv"),
-                      ["vertex", "condition", "residual", "ok"],
-                      [[r.vertex, r.condition, _fmt(r.residual), str(r.ok)]
-                       for r in report.rows])
+                      ["vertex", "condition", "residual", "ok"], "%d,%s,%.17g,%s",
+                      [(r.vertex, r.condition, r.residual, r.ok) for r in report.rows])
     names = ["a_type", "g_type_dagger", "a_type_dagger_shifted", "g_type_shifted"]
-    eq_rows = [[name, _fmt(value)] for name, value in zip(names, equiv)]
-    eq_rows.append(["max_spread", _fmt(max(equiv) - min(equiv))])
     _atomic_write_csv(os.path.join(args.out, "equivalences.csv"),
-                      ["form", "defect"], eq_rows)
+                      ["form", "defect"], "%s,%.17g",
+                      [*zip(names, equiv), ("max_spread", max(equiv) - min(equiv))])
     if not root_ok:
         print(f"k={sv.k!r} is not a root: stationarity defect {sv.defect:.3e} "
               f"exceeds {root_tol:g}")
@@ -536,10 +544,10 @@ def _cmd_partitions(args) -> int:
     rows = []
     for i, p in enumerate(parts):
         lengths = sorted((len(c) for c in p.cycles), reverse=True)
-        rows.append([i, len(p.cycles), ";".join(str(x) for x in lengths),
-                     str(p.is_flip_flop)])
+        rows.append((i, len(p.cycles), ";".join(str(x) for x in lengths), p.is_flip_flop))
     _atomic_write_csv(os.path.join(args.out, "partitions.csv"),
-                      ["index", "cycle_count", "cycle_lengths", "is_flip_flop"], rows)
+                      ["index", "cycle_count", "cycle_lengths", "is_flip_flop"],
+                      "%d,%d,%s,%s", rows)
     return 0
 
 

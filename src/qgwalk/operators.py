@@ -76,10 +76,17 @@ def operator_norm(m: np.ndarray) -> float:
     Rows and columns joined by a nonzero entry belong to one block, so m is a
     direct sum of its blocks up to row and column permutations, and its norm
     is the largest block norm.  An all-zero matrix has norm 0; small matrices,
-    non-finite ones and single-block ones take one SVD of the whole.
+    non-finite ones and single-block ones take one SVD of the whole.  For a
+    small finite matrix that is the first value ``svd`` returns (they come
+    sorted, largest first), the very value of ``np.linalg.norm(m, 2)`` without
+    the axis handling that costs more than a coin block's SVD; empty, non-2-D
+    and non-finite input goes to ``norm`` and fails as it does.
     """
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] < _SPLIT_MIN_ROWS or not np.isfinite(m).all():
+    small = m.ndim == 2 and m.shape[0] < _SPLIT_MIN_ROWS
+    if small and m.size and np.isfinite(m).all():
+        return float(np.linalg.svd(m, compute_uv=False)[0])
+    if small or m.ndim != 2 or not np.isfinite(m).all():
         return float(np.linalg.norm(m, 2))
     mask = m != 0
     if not mask.any():
@@ -264,15 +271,32 @@ def evolution(space: ArcSpace, p: Partition, coins: CoinSet, kind: str = "G") ->
 
 
 def random_unitary_coins(g: Graph, rng: np.random.Generator) -> CoinSet:
-    """Independent Haar-distributed unitary coin at every vertex."""
-    return CoinSet({v: _haar_unitary(g.degree(v), rng) for v in g.vertices})
+    """Independent Haar-distributed unitary coin at every vertex.
 
-
-def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d.conj() / np.abs(d))
+    Each vertex draws a complex Gaussian matrix in vertex order (real part,
+    then imaginary part); the vertices of one degree then share a stacked QR,
+    whose R diagonal phases are divided out of Q's columns.
+    """
+    by_degree: dict[int, list] = {}
+    for v in g.vertices:
+        by_degree.setdefault(g.degree(v), []).append(v)
+    slot = {v: i for vs in by_degree.values() for i, v in enumerate(vs)}
+    # each draw goes straight into its degree's stack, which is then scaled and
+    # phase-fixed in place: per-vertex draws kept alive until the QR, or
+    # out-of-place temporaries, fragmented the heap and raised the peak RSS
+    stacks = {d: np.empty((len(vs), d, d), dtype=complex) for d, vs in by_degree.items()}
+    for v in g.vertices:
+        d = g.degree(v)
+        stacks[d][slot[v]] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    blocks = {}
+    for d, vs in by_degree.items():
+        z = stacks[d]
+        z /= np.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        diag = np.diagonal(r, axis1=1, axis2=2)
+        q *= (diag.conj() / np.abs(diag))[:, None, :]
+        blocks.update(zip(vs, q))
+    return CoinSet({v: blocks[v] for v in g.vertices})
 
 
 # ---------------------------------------------------------------------------

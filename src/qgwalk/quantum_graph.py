@@ -177,13 +177,16 @@ def scan_roots(g: Graph, q: QuantumGraphParams, k_min: float, k_max: float,
     section to ``refine_tol``, and accepts a root when the refined indicator
     is at most ``root_tol``.  Multiplicity counts singular values of
     I - U(k) below 1e-8.  A grid over ``MAX_GRID_POINTS`` points, given or
-    defaulted, is rejected before anything is allocated, and so is a
-    ``refine_tol`` that is not positive.
+    defaulted, is rejected before anything is allocated, and so are a
+    ``refine_tol`` that is not positive and a ``root_tol`` that is negative or
+    NaN, which would reject every candidate.
     """
     if not (0.0 < k_min < k_max < math.inf):
         raise ValueError("need 0 < k_min < k_max < inf")
     if not refine_tol > 0.0:
         raise ValueError(f"refine_tol must be positive, got {refine_tol!r}")
+    if not root_tol >= 0.0:
+        raise ValueError(f"root_tol must be nonnegative, got {root_tol!r}")
     zero = [e for e, length in q.lengths.items() if length == 0.0]
     if zero:
         raise ValueError(f"cannot scan with zero-length edges: {zero}")

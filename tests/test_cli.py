@@ -1,10 +1,24 @@
 """Command-line driver: subcommands, exit codes, deterministic output."""
 
+import csv
+import io
 import json
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from qgwalk import (
+    build_arc_space,
+    cycle_graph,
+    evolution,
+    flip_flop_partition,
+    point_mass,
+    probability_history,
+    random_unitary_coins,
+)
+from qgwalk import cli
 from qgwalk.cli import main
 
 
@@ -310,6 +324,14 @@ def test_refine_tol_under_the_float_spacing_still_ends(tmp_path):
     assert tiny[0][2] == default[0][2] == 1
 
 
+@pytest.mark.parametrize("tol", [-1, math.nan])
+def test_negative_or_nan_root_tol_is_a_config_error(tmp_path, capsys, tol):
+    config = dict(REFINE_CONFIG, scan=dict(REFINE_CONFIG["scan"], root_tol=tol))
+    assert run(tmp_path, config, "qg-scan") == 2
+    assert capsys.readouterr().err.startswith("error: root_tol must be nonnegative, got ")
+    assert not (tmp_path / "roots.csv").exists()
+
+
 @pytest.mark.parametrize("command,config,message", [
     ("evolve", dict(EVOLVE_CONFIG, evolve={"steps": 10**12}),
      "error: 'evolve.steps' asks for 4000000000004 CSV rows, over the 10000000 limit"),
@@ -321,3 +343,84 @@ def test_refine_tol_under_the_float_spacing_still_ends(tmp_path):
 def test_oversize_output_is_a_config_error(tmp_path, capsys, command, config, message):
     assert run(tmp_path, config, command) == 2
     assert capsys.readouterr().err == message + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the CSV writer against csv.writer
+# ---------------------------------------------------------------------------
+
+# every fixed string cell the commands write
+FIXED_CELLS = ["unitarity_g", "unitarity_a", "shift_duality_5_steps", "inverse_flip_flop",
+               "partition_change", "g_type_reduction", "a_type_reduction", "adjacency_support",
+               "tree", "unicyclic", "general", "I", "II", "III", "a_type", "g_type_dagger",
+               "a_type_dagger_shifted", "g_type_shifted", "max_spread", "4;4", "2;2;2;2"]
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1.0 / 3.0]
+TEMPLATES = {"int": "%d", "float": "%.17g", "str": "%s", "bool": "%s"}
+
+
+def reference_csv(header, rows) -> bytes:
+    """The bytes csv.writer gave with floats formatted as format(x, ".17g")."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format(x, ".17g") if isinstance(x, float) else x for x in row])
+    return buf.getvalue().encode()
+
+
+def test_writer_bytes_match_csv_writer(tmp_path):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    cells = {"int": st.integers(),
+             "float": st.floats() | st.sampled_from(SPECIAL_FLOATS),
+             "str": st.sampled_from(FIXED_CELLS),
+             "bool": st.booleans()}
+
+    @st.composite
+    def tables(draw):
+        kinds = draw(st.lists(st.sampled_from(sorted(cells)), min_size=1, max_size=6))
+        rows = draw(st.lists(st.tuples(*(cells[k] for k in kinds)), max_size=12))
+        return kinds, rows
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(tables(), st.integers(1, 5))
+    def check(table, chunk):
+        kinds, rows = table
+        header = [f"c{i}" for i in range(len(kinds))]
+        path = tmp_path / "out.csv"
+        with mock.patch.object(cli, "_CHUNK_ROWS", chunk):
+            cli._atomic_write_csv(str(path), header, ",".join(TEMPLATES[k] for k in kinds), rows)
+        assert path.read_bytes() == reference_csv(header, rows)
+
+    check()
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]  # no temporary left behind
+
+
+def test_evolve_over_several_chunks_matches_the_reference_bytes(tmp_path):
+    n, steps, seed = 200, 400, 11
+    assert (steps + 1) * n > cli._CHUNK_ROWS
+    config = {"graph": {"family": "cycle", "n": n},
+              "walk": {"coins": {"family": "random", "seed": seed}},
+              "evolve": {"steps": steps, "initial": {"arc": [2, 1]}}}
+    assert run(tmp_path, config, "evolve") == 0
+
+    g = cycle_graph(n)
+    space = build_arc_space(g)
+    op = evolution(space, flip_flop_partition(g),
+                   random_unitary_coins(g, np.random.default_rng(seed)), "G")
+    history = probability_history(op, point_mass(space, (2, 1)), steps)
+    rows = [(step, v, float(p)) for step, probs in enumerate(history)
+            for v, p in zip(g.vertices, probs)]
+    assert (tmp_path / "distribution.csv").read_bytes() == reference_csv(
+        ["step", "vertex", "probability"], rows)
+
+
+def test_a_failed_write_leaves_no_file(tmp_path):
+    path = tmp_path / "out.csv"
+    rows = [(1, 2.0), (2, 3.0), (3, "not a float")]
+    with mock.patch.object(cli, "_CHUNK_ROWS", 1), pytest.raises(TypeError):
+        cli._atomic_write_csv(str(path), ["a", "b"], "%d,%.17g", rows)
+    assert list(tmp_path.iterdir()) == []

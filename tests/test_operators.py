@@ -121,6 +121,28 @@ def test_random_unitary_coins_seeded():
         assert unitarity_defect(a.block(v)) <= 1e-12
 
 
+def _haar_unitary(n, rng):
+    """One Haar coin drawn on its own: the per-vertex reference for the batched draw."""
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d.conj() / np.abs(d))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17, 90317])
+def test_random_unitary_coins_equal_per_vertex_draws_exactly(seed):
+    # degrees 5, 2, 3, 3, 2, 2, 2, 2, 1 in vertex order, so each degree's
+    # stack gathers vertices that drew far apart in the generator's stream
+    g = Graph.from_edges(9, [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (3, 4),
+                             (4, 7), (5, 8), (6, 9), (7, 8)])
+    assert [g.degree(v) for v in g.vertices] == [5, 2, 3, 3, 2, 2, 2, 2, 1]
+    batched, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    coins = random_unitary_coins(g, batched)
+    for v in g.vertices:
+        assert np.array_equal(coins.block(v), _haar_unitary(g.degree(v), reference))
+    assert batched.random() == reference.random()  # the same draws were taken
+
+
 # ---------------------------------------------------------------------------
 # matrix elements, re-derived entry by entry
 # ---------------------------------------------------------------------------
@@ -248,14 +270,21 @@ def _scrambled_blocks(rng, n_rows):
 
 
 def _svd_shapes(monkeypatch):
-    """Record the shape of every matrix np.linalg.norm is asked for."""
-    shapes, dense = [], np.linalg.norm
+    """Record the shape of every matrix np.linalg.norm or np.linalg.svd is asked for.
 
-    def spy(m, *args, **kwargs):
-        shapes.append(np.shape(m))
-        return dense(m, *args, **kwargs)
+    ``norm`` reaches LAPACK through numpy's own module-level ``svd``, not the
+    patched attribute, so each SVD is recorded once whichever route it takes.
+    """
+    shapes = []
 
-    monkeypatch.setattr(np.linalg, "norm", spy)
+    def spy(dense):
+        def record(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return dense(m, *args, **kwargs)
+        return record
+
+    for name in ("norm", "svd"):
+        monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name)))
     return shapes
 
 
@@ -310,6 +339,35 @@ def test_operator_norm_of_non_finite_matrices_follows_the_dense_norm(n_rows, bad
         expected = np.linalg.norm(m, 2)
     except np.linalg.LinAlgError as exc:
         with pytest.raises(np.linalg.LinAlgError, match=str(exc)):
+            operator_norm(m)
+    else:
+        assert np.array_equal(operator_norm(m), expected, equal_nan=True)
+
+
+def test_operator_norm_of_small_matrices_is_the_dense_norm_exactly():
+    # below the split cutoff the norm is read from svd directly; it must be
+    # the very value np.linalg.norm returns, not just a close one
+    rng = np.random.default_rng(63)
+    for n_rows in range(1, _SPLIT_MIN_ROWS):
+        for n_cols in (n_rows, int(rng.integers(1, _SPLIT_MIN_ROWS))):
+            m = _complex_gaussian(rng, (n_rows, n_cols))
+            assert operator_norm(m) == float(np.linalg.norm(m, 2))
+
+
+@pytest.mark.parametrize("m", [
+    np.array([[np.nan, 1.0], [1.0, 1.0]]),
+    np.array([[1.0, 0.0], [0.0, np.inf]], dtype=complex),
+    np.array([[complex(0.0, -np.inf)]]),
+    np.zeros((0, 0)),
+    np.zeros((3, 0), dtype=complex),
+    np.zeros((0, 3)),
+    np.ones(3),
+], ids=["nan", "inf", "complex-inf", "empty", "no-columns", "no-rows", "vector"])
+def test_operator_norm_of_degenerate_small_inputs_follows_the_dense_norm(m):
+    try:
+        expected = np.linalg.norm(m, 2)
+    except Exception as exc:  # noqa: BLE001 - the same type must come back
+        with pytest.raises(type(exc)):
             operator_norm(m)
     else:
         assert np.array_equal(operator_norm(m), expected, equal_nan=True)

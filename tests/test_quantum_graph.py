@@ -206,6 +206,9 @@ def test_scan_rejects_bad_inputs():
     for tol in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="refine_tol must be positive"):
             scan_roots(K2, UNIT_INTERVAL, 3.0, 3.3, grid_points=50, refine_tol=tol)
+    for tol in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="root_tol must be nonnegative"):
+            scan_roots(K2, UNIT_INTERVAL, 3.0, 3.3, grid_points=50, root_tol=tol)
 
 
 # ---------------------------------------------------------------------------
