@@ -191,6 +191,17 @@ def _arc_key(raw: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
+def _keyed(raw, where: str, value, arc_keys: bool) -> dict:
+    """A JSON map keyed by arcs or vertices; "1,2" next to "01,2" is a ConfigError."""
+    out = {}
+    for text, val in _dict(raw, where).items():
+        key = _arc_key(text) if arc_keys else _int(text, f"{where} key")
+        if key in out:
+            raise ConfigError(f"'{where}' gives {key} twice")
+        out[key] = value(text, val)
+    return out
+
+
 def _as_complex(raw) -> complex:
     if isinstance(raw, (int, float)):
         return complex(raw)
@@ -249,8 +260,8 @@ def _build_partition(g: Graph, spec) -> Partition:
         return flip_flop_partition(g)
     if isinstance(spec, dict) and "successors" in spec:
         _check_keys(spec, {"successors"}, "partition")
-        succ = {_arc_key(key): _int(val, f"partition.successors.{key}")
-                for key, val in _dict(spec["successors"], "partition.successors").items()}
+        succ = _keyed(spec["successors"], "partition.successors",
+                      lambda key, val: _int(val, f"partition.successors.{key}"), arc_keys=True)
         return Partition.from_successors(g, succ)
     if isinstance(spec, dict) and "random_seed" in spec:
         _check_keys(spec, {"random_seed"}, "partition")
@@ -286,15 +297,14 @@ def _build_qg(g: Graph, cfg: dict) -> QuantumGraphParams:
     _check_keys(section, {"lengths", "lambdas", "potentials"}, "quantum_graph")
 
     def edge_values(name: str, default: float):
-        raw = section.get(name, default)
+        raw, where = section.get(name, default), f"quantum_graph.{name}"
         if isinstance(raw, dict):
-            return {_arc_key(key): _float(val, f"quantum_graph.{name}.{key}")
-                    for key, val in raw.items()}
-        return _float(raw, f"quantum_graph.{name}")
+            return _keyed(raw, where, lambda key, x: _float(x, f"{where}.{key}"), arc_keys=True)
+        return _float(raw, where)
 
     raw_lam = section.get("lambdas", 0.0)
     if isinstance(raw_lam, dict):
-        lam = {_int(v, "quantum_graph.lambdas key"): _lam_value(x) for v, x in raw_lam.items()}
+        lam = _keyed(raw_lam, "quantum_graph.lambdas", lambda _v, x: _lam_value(x), arc_keys=False)
     else:
         lam = _lam_value(raw_lam)
     return QuantumGraphParams.build(g, edge_values("lengths", 1.0), lam,
@@ -306,9 +316,8 @@ def _build_weights(g: Graph, spec) -> VertexWeights:
         return VertexWeights.uniform(g)
     if isinstance(spec, dict):
         where = "walk.coins.weights"
-        return VertexWeights(g, {
-            _int(v, f"{where} key"): np.array([_as_complex(x) for x in _list(vec, f"{where}.{v}")])
-            for v, vec in spec.items()})
+        return VertexWeights(g, _keyed(spec, where, lambda v, vec: np.array(
+            [_as_complex(x) for x in _list(vec, f"{where}.{v}")]), arc_keys=False))
     raise ConfigError("weights must be 'uniform' or a per-vertex map")
 
 
@@ -337,12 +346,10 @@ def _build_coins(g: Graph, cfg: dict, spec: dict, seed: int):
     if family == "explicit":
         if "blocks" not in spec:
             raise ConfigError("explicit coins need a 'blocks' entry")
-        blocks = {}
-        for v, rows in _dict(spec["blocks"], "walk.coins.blocks").items():
-            where = f"walk.coins.blocks.{v}"
-            blocks[_int(v, "walk.coins.blocks key")] = np.array(
-                [[_as_complex(x) for x in _list(row, where)] for row in _list(rows, where)])
-        return CoinSet(blocks)
+        where = "walk.coins.blocks"
+        return CoinSet(_keyed(spec["blocks"], where, lambda v, rows: np.array(
+            [[_as_complex(x) for x in _list(row, f"{where}.{v}")]
+             for row in _list(rows, f"{where}.{v}")]), arc_keys=False))
     raise ConfigError(f"unknown coin family {family!r}")
 
 
@@ -388,9 +395,8 @@ def _cmd_evolve(args) -> int:
                             np.array([_as_complex(x) for x in amps]))
     elif "amplitudes" in initial:
         state = from_arc_amplitudes(
-            space, {_arc_key(key): _as_complex(val)
-                    for key, val in _dict(initial["amplitudes"],
-                                          "evolve.initial.amplitudes").items()})
+            space, _keyed(initial["amplitudes"], "evolve.initial.amplitudes",
+                          lambda _key, val: _as_complex(val), arc_keys=True))
     else:
         raise ConfigError("evolve.initial needs 'arc', 'local', or 'amplitudes'")
 

@@ -12,17 +12,17 @@ Families:
 
 Within the block at vertex j the row/column order is the ascending neighbour
 order of j.  The metric-graph coin carries, on its row index m, the
-propagation phase exp(i L(j,m) (k - A(j->m))) of the outgoing arc j -> m.
+propagation phase of the outgoing arc j -> m, from ``propagation_phases``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, build_arc_space
 from .operators import CoinSet
 
 __all__ = [
@@ -102,12 +102,16 @@ class QuantumGraphParams:
     only for limiting checks; spectral scans expect positive lengths); the
     potential of the arc u -> v is +A on the canonical direction (u < v)
     and -A against it; coupling strengths are nonnegative or ``DIRICHLET``.
+    ``arc_lengths`` and ``arc_potentials`` are the same values per arc, in
+    ``build_arc_space(graph)`` order: read-only arrays derived once, here.
     """
 
     graph: Graph
     lengths: dict
     lambdas: dict
     potentials: dict
+    arc_lengths: np.ndarray = field(init=False, repr=False, compare=False)
+    arc_potentials: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.graph
@@ -126,6 +130,11 @@ class QuantumGraphParams:
         for v, lam in self.lambdas.items():
             if lam != DIRICHLET and not (lam >= 0.0 and math.isfinite(lam)):
                 raise ValueError(f"vertex {v} coupling must be >= 0 or DIRICHLET")
+        arcs = build_arc_space(g).arcs
+        for name, value in (("arc_lengths", self.length), ("arc_potentials", self.arc_potential)):
+            arr = np.array([value(u, v) for u, v in arcs], dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def build(cls, g: Graph, lengths=1.0, lambdas=0.0, potentials=0.0) -> "QuantumGraphParams":
@@ -141,6 +150,8 @@ class QuantumGraphParams:
             out = {}
             for (u, v), val in x.items():
                 key = (min(u, v), max(u, v))
+                if key in out:
+                    raise ValueError(f"edge {key} is given twice")
                 out[key] = float(val) if (u < v or not signed) else -float(val)
             return out
 
@@ -158,6 +169,10 @@ class QuantumGraphParams:
         """Signed potential along the arc u -> v (antisymmetric under reversal)."""
         a = self.potentials[(min(u, v), max(u, v))]
         return a if u < v else -a
+
+    def propagation_phases(self, k: float) -> np.ndarray:
+        """exp(i L (k - A)) of every arc, in ``build_arc_space(graph)`` order."""
+        return np.exp(1j * self.arc_lengths * (k - self.arc_potentials))
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,11 +244,6 @@ def szegedy_coins(g: Graph, t: TransitionMatrix) -> CoinSet:
     return CoinSet(blocks)
 
 
-def _arc_phases(g: Graph, q: QuantumGraphParams, j: int, k: float) -> np.ndarray:
-    return np.array([np.exp(1j * q.length(j, m) * (k - q.arc_potential(j, m)))
-                     for m in g.neighbors(j)])
-
-
 def _check_wavenumber(k: float) -> None:
     if not (k > 0.0 and math.isfinite(k)):
         raise ValueError(f"wavenumber must be positive and finite, got {k}")
@@ -254,7 +264,9 @@ def _metric_coins(g: Graph, q: QuantumGraphParams, k: float,
     _check_wavenumber(k)
     if q.graph != g or (w is not None and w.graph != g):
         raise ValueError("parameters belong to a different graph")
+    phases = q.propagation_phases(k)
     blocks = {}
+    start = 0  # the arcs leaving j are the next d in arc order
     for j in g.vertices:
         d = g.degree(j)
         lam = q.lam(j)
@@ -264,7 +276,8 @@ def _metric_coins(g: Graph, q: QuantumGraphParams, k: float,
             a = w.vector(j)
             mu = 1.0 + np.exp(-1j * boundary_phase(lam, d, k))
             core = mu * np.outer(a, a.conj()) - np.eye(d)
-        blocks[j] = _arc_phases(g, q, j, k)[:, None] * core
+        blocks[j] = phases[start:start + d, None] * core
+        start += d
     return CoinSet(blocks)
 
 

@@ -69,6 +69,8 @@ __all__ = [
 # than the SVD it would split.
 _SPLIT_MIN_ROWS = 64
 
+UNITARITY_TOL = 1e-12  # largest unitarity defect a coin block may have
+
 
 def operator_norm(m: np.ndarray) -> float:
     """Spectral norm ||m||_2, taken block by block over m's nonzero pattern.
@@ -139,7 +141,7 @@ class CoinSet:
             h.setflags(write=False)
         object.__setattr__(self, "blocks", clean)
 
-    def validate(self, g: Graph, tol: float = 1e-12) -> None:
+    def validate(self, g: Graph) -> None:
         if set(self.blocks) != set(g.vertices):
             raise ValueError("coin set must assign one block to every vertex")
         for v in g.vertices:
@@ -148,7 +150,7 @@ class CoinSet:
             if h.shape != (d, d):
                 raise ValueError(f"coin at vertex {v} has shape {h.shape}, expected {(d, d)}")
             defect = unitarity_defect(h)
-            if defect > tol:
+            if defect > UNITARITY_TOL:
                 raise ValueError(f"coin at vertex {v} is not unitary (defect {defect:.3e})")
 
     def block(self, v: int) -> np.ndarray:

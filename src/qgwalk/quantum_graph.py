@@ -1,33 +1,29 @@
 """Metric-graph eigenproblems driven by the arc walk at wavenumber k.
 
-The walk U(k) is the G-type flip-flop evolution with the metric-graph coins.
-A wavenumber k is an eigenvalue of the underlying differential problem
-exactly when U(k) has eigenvalue 1; the smallest singular value of I - U(k)
-is the root indicator scanned and refined here.
+The walk U(k) = Phi(k) Sigma(k) S is the G-type flip-flop evolution with the
+metric-graph coins.  A wavenumber k is an eigenvalue of the underlying
+differential problem exactly when U(k) has eigenvalue 1; the smallest singular
+value of I - U(k) is the root indicator scanned and refined here.  Every dense
+U(k) here is the coin operator C(k) with its columns gathered through the
+flip-flop shift permutation: the entries of C S, with no shift matrix.
 
-Every dense evaluation of U(k) here (scan grid, refinement, multiplicity,
-indicator, stationary vector, the factorization residual) is the coin
-operator C(k) with its columns gathered through the flip-flop shift
-permutation: the entries of C S, with no product and no shift matrix.
-
-A stationary vector x of U(k) carries, on arc (i, j), the amplitude of the
-wave outgoing from i after propagating the whole edge; dividing out that
-propagation phase gives the outgoing amplitude at the near end,
-
-    a(i,j) = x(i,j) exp(-i L (k - A(i,j))),
-
-and the eigenfunction on the edge {i, j}, with x the distance from i, is
+Edge parameters are read per arc, in arc order, from ``q.arc_lengths`` and
+``q.arc_potentials``; ``q.propagation_phases(k)`` is Phi(k), exp(i L (k - A))
+on every arc.  A stationary vector x of U(k) carries, on arc (i, j), the wave
+outgoing from i after crossing the edge; dividing out that phase gives the
+outgoing amplitude a(i,j) at the near end, and the eigenfunction on the edge
+{i, j}, with x the distance from i, is
 
     Psi(x) = a(i,j) exp(+i (k - A(i,j)) x) + a(j,i) exp(+i (k - A(j,i)) (L - x)).
 
-The incoming weight at i is b(i,j) = a(j,i) exp(i L (k + A(i,j))); vertex
-values are a + b per incident edge, and the covariant outgoing flux at a
-vertex is +i k sum_j (a - b).
+The incoming weight b(i,j) = a(j,i) exp(i L (k + A(i,j))) is a(j,i) times the
+phase of the reverse arc; vertex values are a + b per incident edge, and the
+covariant outgoing flux at a vertex is +i k sum_j (a - b).
 
 ``reduced_secular_determinant`` evaluates det(I - t U(k)) through a
-vertex-sized determinant times explicit per-edge factors, without ever
-assembling U; agreement with the direct determinant is an end-to-end check
-of the whole construction.
+vertex-sized determinant times explicit per-edge factors, computing its own
+phases and never assembling U; agreement with the direct determinant is an
+end-to-end check of the whole construction.
 """
 
 from __future__ import annotations
@@ -41,6 +37,7 @@ from .coins import (
     DIRICHLET,
     QuantumGraphParams,
     VertexWeights,
+    _check_wavenumber,
     _scattering_block,
     boundary_phase,
     projector_coins,
@@ -212,14 +209,11 @@ def scan_roots(g: Graph, q: QuantumGraphParams, k_min: float, k_max: float,
         except PoleProximityError:
             reduced[i] = complex(float("nan"), float("nan"))
 
-    candidates = []
-    for i in range(grid_points):
-        if indicators[i] >= bracket_threshold:
-            continue
-        left_ok = i == 0 or indicators[i] <= indicators[i - 1]
-        right_ok = i == grid_points - 1 or indicators[i] <= indicators[i + 1]
-        if left_ok and right_ok:
-            candidates.append((ks[max(i - 1, 0)], ks[min(i + 1, grid_points - 1)]))
+    # local minima under the threshold, bracketed by their grid neighbours
+    left_ok = np.r_[True, indicators[1:] <= indicators[:-1]]
+    right_ok = np.r_[indicators[:-1] <= indicators[1:], True]
+    minima = np.flatnonzero(~(indicators >= bracket_threshold) & left_ok & right_ok)
+    candidates = zip(ks[np.maximum(minima - 1, 0)], ks[np.minimum(minima + 1, grid_points - 1)])
 
     found = []
     for lo, hi in candidates:
@@ -280,20 +274,19 @@ def outgoing_amplitudes(space: ArcSpace, q: QuantumGraphParams, k: float,
     The walk vector holds each outgoing wave after it has crossed its edge;
     a(i,j) = x(i,j) exp(-i L (k - A(i,j))) undoes that propagation.
     """
-    a = np.empty(space.size, dtype=complex)
-    for idx, (i, j) in enumerate(space.arcs):
-        a[idx] = x[idx] * np.exp(-1j * q.length(i, j) * (k - q.arc_potential(i, j)))
-    return a
+    if space.graph != q.graph:
+        raise ValueError("parameters belong to a different graph")
+    return x * q.propagation_phases(k).conj()
 
 
 def b_coefficients(space: ArcSpace, q: QuantumGraphParams, k: float,
                    a: np.ndarray) -> np.ndarray:
-    """Incoming weights: b(i,j) = a(j,i) exp(i L (k + A(i,j)))."""
-    b = np.empty(space.size, dtype=complex)
-    for idx, (i, j) in enumerate(space.arcs):
-        phase = np.exp(1j * q.length(i, j) * (k + q.arc_potential(i, j)))
-        b[idx] = a[space.index_of((j, i))] * phase
-    return b
+    """Incoming weights b(i,j) = a(j,i) exp(i L (k + A(i,j))): a times the propagation
+    phases, read through the flip-flop (arc reversal) permutation."""
+    if space.graph != q.graph:
+        raise ValueError("parameters belong to a different graph")
+    reverse = shift_permutation(space, flip_flop_partition(space.graph))
+    return (a * q.propagation_phases(k))[reverse]
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,18 +332,17 @@ def sample_eigenfunction(sv: StationaryVector, q: QuantumGraphParams,
     b = b_coefficients(space, q, sv.k, a)
 
     edge_xs, edge_values = {}, {}
-    symmetry = 0.0
-    wq_diff = 0.0
+    symmetry = wq_diff = 0.0
     for (u, v) in g.edges:
-        length = q.length(u, v)
+        fwd, rev = space.index_of((u, v)), space.index_of((v, u))
+        length = float(q.arc_lengths[fwd])
         xs = np.linspace(0.0, length, samples_per_edge)
-        a_fwd = complex(a[space.index_of((u, v))])
-        a_rev = complex(a[space.index_of((v, u))])
+        a_fwd, a_rev = complex(a[fwd]), complex(a[rev])
         vals = np.array([_pointwise_value(q, sv.k, a_fwd, a_rev, u, v, float(x))
                          for x in xs])
         # vectorized route: Psi = D1(x) a + D2(x) (reversal a)
-        d1 = np.exp(1j * (sv.k - q.arc_potential(u, v)) * xs)
-        d2 = np.exp(1j * (sv.k - q.arc_potential(v, u)) * (length - xs))
+        d1 = np.exp(1j * (sv.k - q.arc_potentials[fwd]) * xs)
+        d2 = np.exp(1j * (sv.k - q.arc_potentials[rev]) * (length - xs))
         vec_vals = a_fwd * d1 + a_rev * d2
         wq_diff = max(wq_diff, float(np.abs(vals - vec_vals).max()))
         # the reverse arc parameterized from v must retrace the same values
@@ -360,11 +352,8 @@ def sample_eigenfunction(sv: StationaryVector, q: QuantumGraphParams,
         edge_xs[(u, v)] = xs
         edge_values[(u, v)] = vals
 
-    vertex_values = {}
-    for i in g.vertices:
-        ab = [complex(a[space.index_of((i, j))] + b[space.index_of((i, j))])
-              for j in g.neighbors(i)]
-        vertex_values[i] = sum(ab) / len(ab)
+    traces = a + b
+    vertex_values = {i: complex(traces[space.origin_slice(i)].mean()) for i in g.vertices}
 
     return EigenfunctionSample(space, sv.k, sv.defect, a, b, edge_xs, edge_values,
                                vertex_values, symmetry, wq_diff)
@@ -395,23 +384,18 @@ def boundary_condition_report(sample: EigenfunctionSample, q: QuantumGraphParams
         must vanish.
     """
     space = sample.space
-    g = space.graph
+    a, b = sample.a_star, sample.b_star
     rows = [BoundaryRow(0, "I", sample.stationarity_defect,
                         sample.stationarity_defect <= tol)]
-    for i in g.vertices:
-        traces = [complex(sample.a_star[space.index_of((i, j))]
-                          + sample.b_star[space.index_of((i, j))])
-                  for j in g.neighbors(i)]
-        spread = max((abs(x - y) for x in traces for y in traces), default=0.0)
-        rows.append(BoundaryRow(i, "II", float(spread), spread <= tol))
+    for i in space.graph.vertices:
+        sl = space.origin_slice(i)
+        traces = a[sl] + b[sl]
+        spread = float(np.abs(traces[:, None] - traces).max())
+        rows.append(BoundaryRow(i, "II", spread, spread <= tol))
 
-        flux = 1j * sample.k * sum(
-            sample.a_star[space.index_of((i, j))] - sample.b_star[space.index_of((i, j))]
-            for j in g.neighbors(i))
-        if q.lam(i) == DIRICHLET:
-            resid = abs(sample.vertex_values[i])
-        else:
-            resid = abs(flux - q.lam(i) * sample.vertex_values[i])
+        flux = 1j * sample.k * (a[sl] - b[sl]).sum()
+        value, lam = sample.vertex_values[i], q.lam(i)
+        resid = abs(value) if lam == DIRICHLET else abs(flux - lam * value)
         rows.append(BoundaryRow(i, "III", float(resid), resid <= tol))
     return BoundaryReport(tuple(rows), all(r.ok for r in rows))
 
@@ -431,9 +415,11 @@ def characteristic_determinant(g: Graph, q: QuantumGraphParams, k: float, t: com
     return complex(np.linalg.det(np.eye(space.size) - t * u))
 
 
+POLE_GUARD = 1e-10  # a per-edge factor of the reduced determinant this near 0 is a pole
+
+
 def reduced_secular_determinant(g: Graph, q: QuantumGraphParams, k: float, t: complex,
-                                weights: VertexWeights | None = None,
-                                pole_guard: float = 1e-10) -> complex:
+                                weights: VertexWeights | None = None) -> complex:
     """det(I - t U(k)) via a vertex-sized determinant and per-edge factors.
 
     det(I - t U) = prod_e (1 - t^2 e^{2 i k L_e})
@@ -446,46 +432,38 @@ def reduced_secular_determinant(g: Graph, q: QuantumGraphParams, k: float, t: co
         D(t)[i, i] = mu_i sum_l |alpha_i[l]|^2
                      e^{2 i k L_il} / (1 - t^2 e^{2 i k L_il})
 
-    Raises PoleProximityError when any per-edge factor is within
-    ``pole_guard`` of zero, since T and D divide by those factors.
+    Raises PoleProximityError, naming the first such edge of ``g.edges``, when
+    a per-edge factor is within ``POLE_GUARD`` of zero: T and D divide by them.
     """
     if weights is None:
         weights = VertexWeights.uniform(g)
-    if not (k > 0.0 and math.isfinite(k)):
-        raise ValueError(f"wavenumber must be positive and finite, got {k}")
+    _check_wavenumber(k)
+    if q.graph != g:
+        raise ValueError("parameters belong to a different graph")
     n = g.vertex_count
+    origin, terminus = (np.array(build_arc_space(g).arcs) - 1).T
 
-    delta = {}
-    for (u, v) in g.edges:
-        d = 1.0 - t * t * np.exp(2j * k * q.length(u, v))
-        if abs(d) < pole_guard:
-            raise PoleProximityError(
-                f"edge {(u, v)} factor |1 - t^2 e^(2ikL)| = {abs(d):.3e} under guard")
-        delta[(u, v)] = d
+    round_trip = np.exp(2j * k * q.arc_lengths)
+    delta = 1.0 - t * t * round_trip
+    edge_delta = delta[origin < terminus]  # the arcs u -> v with u < v are g.edges in order
+    near = np.flatnonzero(np.abs(edge_delta) < POLE_GUARD)
+    if near.size:
+        raise PoleProximityError(f"edge {g.edges[near[0]]} factor |1 - t^2 e^(2ikL)| = "
+                                 f"{abs(edge_delta[near[0]]):.3e} under guard")
 
-    def mu(i: int) -> complex:
-        if q.lam(i) == DIRICHLET:
-            return 0.0 + 0.0j
-        return 1.0 + np.exp(-1j * boundary_phase(q.lam(i), g.degree(i), k))
-
+    mu = np.array([0.0 if q.lam(i) == DIRICHLET
+                   else 1.0 + np.exp(-1j * boundary_phase(q.lam(i), g.degree(i), k))
+                   for i in g.vertices])
+    alpha = np.concatenate([weights.vector(i) for i in g.vertices])
+    reverse = np.lexsort((origin, terminus))  # arc l -> i at the place of arc i -> l
+    phase = np.exp(1j * q.arc_lengths * (k + q.arc_potentials))
     big_t = np.zeros((n, n), dtype=complex)
-    big_d = np.zeros((n, n), dtype=complex)
-    for i in g.vertices:
-        mi = mu(i)
-        alpha_i = weights.vector(i)
-        acc = 0.0 + 0.0j
-        for pos, l in enumerate(g.neighbors(i)):
-            dl = delta[(min(i, l), max(i, l))]
-            acc += abs(alpha_i[pos]) ** 2 * np.exp(2j * k * q.length(i, l)) / dl
-            alpha_l = weights.vector(l)
-            phase = np.exp(1j * q.length(i, l) * (k + q.arc_potential(i, l)))
-            big_t[i - 1, l - 1] = (mi * np.conj(alpha_i[pos])
-                                   * alpha_l[g.neighbors(l).index(i)] * phase / dl)
-        big_d[i - 1, i - 1] = mi * acc
+    big_t[origin, terminus] = mu[origin] * np.conj(alpha) * alpha[reverse] * phase / delta
+    big_d = np.zeros(n, dtype=complex)
+    np.add.at(big_d, origin, np.abs(alpha) ** 2 * round_trip / delta)  # summed in arc order
 
-    core = np.eye(n) - t * big_t + t * t * big_d
-    prefactor = complex(np.prod([delta[e] for e in g.edges]))
-    return prefactor * complex(np.linalg.det(core))
+    core = np.eye(n) - t * big_t + t * t * np.diag(mu * big_d)
+    return complex(np.prod(edge_delta)) * complex(np.linalg.det(core))
 
 
 def stationarity_equivalences(g: Graph, q: QuantumGraphParams, k: float,
@@ -534,8 +512,7 @@ def scattering_factorization(g: Graph, q: QuantumGraphParams, k: float) -> Scatt
     space = build_arc_space(g)
     sigma = CoinSet({j: _scattering_block(g.degree(j), q.lam(j), k) for j in g.vertices})
     vertex_step = evolution(space, flip_flop_partition(g), sigma, "G")
-    phases = np.array([np.exp(1j * q.length(i, j) * (k - q.arc_potential(i, j)))
-                       for (i, j) in space.arcs])
     u = _dense_walk(space, vertex_step.perm, q, k)
+    phases = q.propagation_phases(k)
     residual = float(np.linalg.norm(u - phases[:, None] * vertex_step.matrix, 2))
     return ScatteringFactorization(vertex_step, phases, residual)

@@ -46,6 +46,8 @@ __all__ = [
     "random_reversible_transition",
 ]
 
+PM1_TOL = 1e-8  # a discriminant eigenvalue this close to +/-1 is taken as exactly +/-1
+
 
 def discriminant_matrix(t: TransitionMatrix) -> np.ndarray:
     """Entrywise sqrt(p(i,j) p(j,i)); symmetric with spectrum in [-1, 1]."""
@@ -88,8 +90,7 @@ class SpectralResult:
     lifts: tuple
 
 
-def szegedy_spectrum(space: ArcSpace, t: TransitionMatrix,
-                     pm1_tol: float = 1e-8) -> SpectralResult:
+def szegedy_spectrum(space: ArcSpace, t: TransitionMatrix) -> SpectralResult:
     """Predict the walk spectrum from the vertex-sized discriminant.
 
     Builds the phase multiset by the edge-count case split and lifts one
@@ -102,7 +103,7 @@ def szegedy_spectrum(space: ArcSpace, t: TransitionMatrix,
     nus, vecs = np.linalg.eigh(disc)
     # arccos has infinite slope at +/-1, so an eigensolver error of ~1e-16
     # in nu would otherwise blow up to ~1e-8 in theta
-    snap = np.abs(np.abs(nus) - 1.0) <= pm1_tol
+    snap = np.abs(np.abs(nus) - 1.0) <= PM1_TOL
     nus = np.where(snap, np.copysign(1.0, nus), nus)
     thetas = np.arccos(np.clip(nus, -1.0, 1.0))
 
@@ -122,7 +123,7 @@ def szegedy_spectrum(space: ArcSpace, t: TransitionMatrix,
     lifts: list[LiftedEigenvector] = []
     for idx in range(n):
         nu, theta = float(nus[idx]), float(thetas[idx])
-        at_pm1 = abs(abs(nu) - 1.0) <= pm1_tol
+        at_pm1 = abs(abs(nu) - 1.0) <= PM1_TOL
         signs = (1.0,) if (case == "tree" and at_pm1) else (1.0, -1.0)
         for sign in signs:
             mu = complex(np.exp(1j * sign * theta))

@@ -10,6 +10,7 @@ interval/star spectra.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +32,17 @@ from qgwalk import (
     random_unitary_coins,
     szegedy_coins,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# The subcommand a config is written for, from the section naming it.
+SECTION_COMMANDS = {"evolve": "evolve", "verify": "verify", "szegedy": "szegedy",
+                    "scan": "qg-scan", "eigenfunction": "qg-eigenfunction",
+                    "partitions": "partitions"}
+
+
+def config_command(cfg: dict) -> str:
+    return next(SECTION_COMMANDS[key] for key in cfg if key in SECTION_COMMANDS)
+
 
 # ---------------------------------------------------------------------------
 # closed-form spectra

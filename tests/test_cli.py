@@ -4,11 +4,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from helpers import CONFIG_DIR, config_command
 from qgwalk import (
     build_arc_space,
     cycle_graph,
@@ -161,6 +166,32 @@ def test_partitions_enumeration(tmp_path):
     assert sum(1 for line in lines[1:] if line.endswith(",True")) == 1
 
 
+COMMAND_OUTPUTS = {
+    "evolve": ["distribution.csv"],
+    "verify": ["identities.csv"],
+    "szegedy": ["spectrum.csv", "matching.csv"],
+    "qg-scan": ["scan.csv", "roots.csv"],
+    "qg-eigenfunction": ["eigenfunction.csv", "boundary.csv", "equivalences.csv"],
+    "partitions": ["partitions.csv"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in CONFIG_DIR.glob("*.json")))
+def test_every_shipped_config_runs_unmodified(tmp_path, name):
+    config = CONFIG_DIR / name
+    command = config_command(json.loads(config.read_text()))
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgwalk", command, "--config", str(config), "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    for output in COMMAND_OUTPUTS[command]:
+        lines = csv_lines(tmp_path, output)
+        assert len(lines) >= 2 and all(lines), (output, lines[:3])
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -281,6 +312,34 @@ def test_successor_off_the_neighbourhood_is_a_config_error(tmp_path, capsys):
                                          "2,3": 4, "4,3": 2, "3,4": 1, "1,4": 3}}}
     assert run(tmp_path, dict(VERIFY_CONFIG, walk=walk), "verify") == 2
     assert "error: successor of (1, 2) is 5, not a neighbour of 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,config,message", [
+    ("qg-scan", dict(SCAN_CONFIG, quantum_graph={"lengths": {"1,2": 1.0, "2,1": 2.0}}),
+     "edge (1, 2) is given twice"),
+    ("qg-scan", dict(SCAN_CONFIG, quantum_graph={"potentials": {"1,2": 0.5, "01,2": 0.5}}),
+     "'quantum_graph.potentials' gives (1, 2) twice"),
+    ("qg-scan", dict(SCAN_CONFIG, quantum_graph={"lambdas": {"1": 0.0, "01": 1.0, "2": 0.0}}),
+     "'quantum_graph.lambdas' gives 1 twice"),
+    ("evolve", dict(EVOLVE_CONFIG, evolve={"steps": 1, "initial": {
+        "amplitudes": {"1,2": 1.0, " 1,2": 0.0}}}),
+     "'evolve.initial.amplitudes' gives (1, 2) twice"),
+    ("verify", dict(VERIFY_CONFIG, walk={"partition": {"successors": {
+        "1,2": 3, "3,2": 1, "2,1": 4, "4,1": 2, "2,3": 4, "4,3": 2, "3,4": 1, "1,4": 3,
+        "01,2": 1}}}),
+     "'partition.successors' gives (1, 2) twice"),
+    ("evolve", dict(EVOLVE_CONFIG, walk={"coins": {"family": "explicit", "blocks": {
+        "1": [[1, 0], [0, 1]], "2": [[1, 0], [0, 1]], "3": [[1, 0], [0, 1]],
+        "4": [[1, 0], [0, 1]], "+4": [[0, 1], [1, 0]]}}}),
+     "'walk.coins.blocks' gives 4 twice"),
+    ("evolve", dict(EVOLVE_CONFIG, quantum_graph={}, walk={"coins": {
+        "family": "projector", "k": 1.0, "weights": {"1": [1, 0], "01": [0, 1]}}}),
+     "'walk.coins.weights' gives 1 twice"),
+])
+def test_two_keys_naming_one_arc_or_vertex_are_a_config_error(tmp_path, capsys, command,
+                                                               config, message):
+    assert run(tmp_path, config, command) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_infinite_scan_window_is_a_config_error(tmp_path, capsys):

@@ -7,7 +7,6 @@ must return 0, 1 or 2 and must not raise.
 
 import copy
 import json
-from pathlib import Path
 
 import pytest
 
@@ -15,12 +14,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from helpers import CONFIG_DIR, config_command  # noqa: E402
 from qgwalk.cli import main  # noqa: E402
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-SECTION_COMMANDS = {"evolve": "evolve", "verify": "verify", "szegedy": "szegedy",
-                    "scan": "qg-scan", "eigenfunction": "qg-eigenfunction",
-                    "partitions": "partitions"}
 WRONG_TYPED = [None, [], [4], "x", {}]
 
 
@@ -39,7 +35,7 @@ def _cases():
     cases = []
     for path in sorted(CONFIG_DIR.glob("*.json")):
         cfg = json.loads(path.read_text())
-        command = next(SECTION_COMMANDS[key] for key in cfg if key in SECTION_COMMANDS)
+        command = config_command(cfg)
         cases.extend((path.name, command, cfg, leaf) for leaf in _leaf_paths(cfg))
     return cases
 

@@ -13,6 +13,7 @@ from qgwalk import (
     TransitionMatrix,
     VertexWeights,
     boundary_phase,
+    build_arc_space,
     grover_coin,
     grover_coins,
     path_graph,
@@ -226,6 +227,40 @@ def test_params_validation():
         QuantumGraphParams.build(g, lengths={(1, 2): 1.0})  # missing edge
     QuantumGraphParams.build(g, lengths=0.0)  # allowed for limiting checks
     QuantumGraphParams.build(g, lambdas=DIRICHLET)
+
+
+@pytest.mark.parametrize("field", ["lengths", "potentials"])
+def test_an_edge_keyed_in_both_orientations_is_rejected(field):
+    g = path_graph(3)
+    with pytest.raises(ValueError, match=r"edge \(1, 2\) is given twice"):
+        QuantumGraphParams.build(g, **{field: {(1, 2): 1.0, (2, 1): 2.0, (2, 3): 1.0}})
+
+
+def _param_cases():
+    star, k4 = (g for g, _ in metric_cases())
+    return [
+        *metric_cases(),
+        # potentials keyed against the canonical direction, one of them zero
+        (star, QuantumGraphParams.build(
+            star, lengths={(2, 1): 0.7, (1, 3): 1.1, (4, 1): 2.0},
+            potentials={(2, 1): 0.4, (3, 1): 0.0, (4, 1): -1.25})),
+        (k4, QuantumGraphParams.build(k4, lengths=0.0, potentials=0.3)),
+    ]
+
+
+@pytest.mark.parametrize("g,q", _param_cases())
+def test_per_arc_arrays_equal_the_accessors_exactly(g, q):
+    arcs = build_arc_space(g).arcs
+    lengths = np.array([q.length(u, v) for u, v in arcs])
+    potentials = np.array([q.arc_potential(u, v) for u, v in arcs])
+    # bytes, so that a -0.0 against a 0.0 would count as a difference
+    assert q.arc_lengths.tobytes() == lengths.tobytes()
+    assert q.arc_potentials.tobytes() == potentials.tobytes()
+    assert not q.arc_lengths.flags.writeable and not q.arc_potentials.flags.writeable
+    for k in (0.3, 1.7, 9.25):
+        scalar = np.array([np.exp(1j * q.length(u, v) * (k - q.arc_potential(u, v)))
+                           for u, v in arcs])
+        assert q.propagation_phases(k).tobytes() == scalar.tobytes()
 
 
 def test_dirichlet_sentinel_is_infinity():

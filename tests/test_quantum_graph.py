@@ -250,6 +250,36 @@ def test_amplitude_round_trips():
     del rng
 
 
+@pytest.mark.parametrize("case", range(len(metric_cases())))
+def test_amplitudes_match_per_arc_scalar_references(case):
+    g, q = metric_cases()[case]
+    space = build_arc_space(g)
+    rng = np.random.default_rng(47 + case)
+    for k in (0.9, 2.35, 5.1):
+        x = rng.normal(size=space.size) + 1j * rng.normal(size=space.size)
+        x /= np.linalg.norm(x)
+        a = outgoing_amplitudes(space, q, k, x)
+        b = b_coefficients(space, q, k, a)
+        for idx, (i, j) in enumerate(space.arcs):
+            a_ref = x[idx] * np.exp(-1j * q.length(i, j) * (k - q.arc_potential(i, j)))
+            b_ref = (a[space.index_of((j, i))]
+                     * np.exp(1j * q.length(i, j) * (k + q.arc_potential(i, j))))
+            assert abs(a[idx] - a_ref) <= 1e-15
+            assert abs(b[idx] - b_ref) <= 1e-15
+
+
+def test_a_space_from_a_foreign_graph_raises():
+    # the triangle has as many arcs as the 3-leaf star, so only the graph tells
+    foreign = build_arc_space(cycle_graph(3))
+    x = np.ones(foreign.size, dtype=complex)
+    with pytest.raises(ValueError, match="different graph"):
+        outgoing_amplitudes(foreign, HARD_PARAMS, 1.3, x)
+    with pytest.raises(ValueError, match="different graph"):
+        b_coefficients(foreign, HARD_PARAMS, 1.3, x)
+    with pytest.raises(ValueError, match="different graph"):
+        reduced_secular_determinant(cycle_graph(3), HARD_PARAMS, 1.3, 0.5)
+
+
 def test_interval_reflection_relation():
     sv = stationary_vector(K2, UNIT_INTERVAL, math.pi)
     space = sv.space
@@ -347,6 +377,46 @@ def test_reduced_determinant_matches_direct_on_random_samples():
 def test_pole_guard_trips_on_the_unit_circle():
     with pytest.raises(PoleProximityError):
         reduced_secular_determinant(K2, UNIT_INTERVAL, math.pi, 1.0 + 0.0j)
+
+
+@pytest.mark.parametrize("near_pole,named", [
+    ({(1, 3): math.pi, (2, 3): math.pi}, "(1, 3)"),
+    ({(1, 2): math.pi, (2, 3): math.pi}, "(1, 2)"),
+    ({(2, 3): math.pi}, "(2, 3)"),
+])
+def test_pole_guard_names_the_first_offending_edge(near_pole, named):
+    # at k = 1 an edge of length pi has e^(2ikL) = 1 up to rounding
+    g = cycle_graph(3)
+    q = QuantumGraphParams.build(g, lengths={e: near_pole.get(e, 1.0) for e in g.edges})
+    with pytest.raises(PoleProximityError) as err:
+        reduced_secular_determinant(g, q, 1.0, 1.0)
+    assert str(err.value).startswith(f"edge {named} factor")
+
+
+def test_scan_reads_each_edge_parameter_once_per_arc(monkeypatch):
+    counts = {"length": 0, "arc_potential": 0}
+
+    def counted(name):
+        original = getattr(QuantumGraphParams, name)
+
+        def wrapper(self, u, v):
+            counts[name] += 1
+            return original(self, u, v)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(QuantumGraphParams, name, counted(name))
+    seen = []
+    for points in (100, 1000):
+        for name in counts:
+            counts[name] = 0
+        q = QuantumGraphParams.build(HARD_STAR, lengths=HARD_PARAMS.lengths,
+                                     lambdas=HARD_PARAMS.lambdas,
+                                     potentials=HARD_PARAMS.potentials)
+        scan_roots(HARD_STAR, q, 0.5, 2.0, grid_points=points)
+        seen.append(dict(counts))
+    arcs = 2 * len(HARD_STAR.edges)
+    assert seen == [{"length": arcs, "arc_potential": arcs}] * 2
 
 
 def test_reduced_determinant_vanishes_at_roots():
