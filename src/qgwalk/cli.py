@@ -63,7 +63,6 @@ from .operators import (
     partition_change_residual,
     random_unitary_coins,
     shift_duality_residual,
-    shift_permutation,
     unitarity_defect,
 )
 from .quantum_graph import (
@@ -131,10 +130,20 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """``object_pairs_hook`` for json: a key given twice in one object is an error."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"config gives the key {key!r} twice in one object")
+        out[key] = value
+    return out
+
+
 def _load_config(path: str, sections: set) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -510,17 +519,17 @@ def _cmd_qg_eigenfunction(args) -> int:
     # always build the report from the least-defect vector; an off-root k is
     # a verification failure (exit 1 below), not a config error
     root_tol = _float(section.get("root_tol", 1e-9), "eigenfunction.root_tol")
+    if not root_tol >= 0.0:
+        raise ConfigError(f"root_tol must be nonnegative, got {root_tol!r}")
     samples = _int(section.get("samples_per_edge", 33), "eigenfunction.samples_per_edge")
     _check_rows(samples * len(g.edges), "eigenfunction.samples_per_edge")
     sv = stationary_vector(g, q, _float(section["k"], "eigenfunction.k"), root_tol=math.inf)
     root_ok = sv.defect <= root_tol
     sample = sample_eigenfunction(sv, q, samples)
     report = boundary_condition_report(sample, q, tol)
-    # the four-way check expects the A-type stationary vector, the shift of
-    # the G-type one returned by stationary_vector; the flip-flop shift is an
-    # involution, so a gather through its permutation applies it
-    perm = shift_permutation(sv.space, flip_flop_partition(g))
-    equiv = stationarity_equivalences(g, q, sv.k, sv.amplitudes[perm])
+    # the four-way check expects the A-type stationary vector: the flip-flop
+    # shift (arc reversal) of the G-type one that stationary_vector returns
+    equiv = stationarity_equivalences(g, q, sv.k, sv.amplitudes[sv.space.reverse])
 
     xs, values = sample.edge_xs, sample.edge_values
     _atomic_write_csv(os.path.join(args.out, "eigenfunction.csv"),
@@ -589,7 +598,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.tol is not None and not args.tol >= 0.0:  # NaN or negative fails every check
+        parser.error(f"argument --tol: must be nonnegative, got {args.tol!r}")
     os.makedirs(args.out, exist_ok=True)
     try:
         return _COMMANDS[args.command](args)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, build_arc_space
+from .graphs import ArcSpace, Graph, build_arc_space
 from .operators import CoinSet
 
 __all__ = [
@@ -102,14 +102,15 @@ class QuantumGraphParams:
     only for limiting checks; spectral scans expect positive lengths); the
     potential of the arc u -> v is +A on the canonical direction (u < v)
     and -A against it; coupling strengths are nonnegative or ``DIRICHLET``.
-    ``arc_lengths`` and ``arc_potentials`` are the same values per arc, in
-    ``build_arc_space(graph)`` order: read-only arrays derived once, here.
+    ``arc_space`` (the graph's), ``arc_lengths`` and ``arc_potentials`` (the
+    same values per arc, in its order, read-only) are derived once, here.
     """
 
     graph: Graph
     lengths: dict
     lambdas: dict
     potentials: dict
+    arc_space: ArcSpace = field(init=False, repr=False, compare=False)
     arc_lengths: np.ndarray = field(init=False, repr=False, compare=False)
     arc_potentials: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -130,9 +131,9 @@ class QuantumGraphParams:
         for v, lam in self.lambdas.items():
             if lam != DIRICHLET and not (lam >= 0.0 and math.isfinite(lam)):
                 raise ValueError(f"vertex {v} coupling must be >= 0 or DIRICHLET")
-        arcs = build_arc_space(g).arcs
+        object.__setattr__(self, "arc_space", build_arc_space(g))
         for name, value in (("arc_lengths", self.length), ("arc_potentials", self.arc_potential)):
-            arr = np.array([value(u, v) for u, v in arcs], dtype=float)
+            arr = np.array([value(u, v) for u, v in self.arc_space.arcs], dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -171,7 +172,7 @@ class QuantumGraphParams:
         return a if u < v else -a
 
     def propagation_phases(self, k: float) -> np.ndarray:
-        """exp(i L (k - A)) of every arc, in ``build_arc_space(graph)`` order."""
+        """exp(i L (k - A)) of every arc, in ``arc_space`` order."""
         return np.exp(1j * self.arc_lengths * (k - self.arc_potentials))
 
 
@@ -266,8 +267,7 @@ def _metric_coins(g: Graph, q: QuantumGraphParams, k: float,
         raise ValueError("parameters belong to a different graph")
     phases = q.propagation_phases(k)
     blocks = {}
-    start = 0  # the arcs leaving j are the next d in arc order
-    for j in g.vertices:
+    for j, start in zip(g.vertices, q.arc_space.starts.tolist()):
         d = g.degree(j)
         lam = q.lam(j)
         if w is None or lam == DIRICHLET:
@@ -277,7 +277,6 @@ def _metric_coins(g: Graph, q: QuantumGraphParams, k: float,
             mu = 1.0 + np.exp(-1j * boundary_phase(lam, d, k))
             core = mu * np.outer(a, a.conj()) - np.eye(d)
         blocks[j] = phases[start:start + d, None] * core
-        start += d
     return CoinSet(blocks)
 
 

@@ -115,13 +115,9 @@ def evolve(op: EvolutionOperator, state: WalkState, steps: int) -> WalkState:
     return WalkState(state.space, amps, state.time + steps)
 
 
-def _origin_starts(space: ArcSpace) -> np.ndarray:
-    return np.array([space.origin_slice(v).start for v in space.graph.vertices])
-
-
 def finding_probability(state: WalkState) -> np.ndarray:
     """Probability of finding the walker at each vertex (origin-block mass)."""
-    return np.add.reduceat(np.abs(state.amplitudes) ** 2, _origin_starts(state.space))
+    return np.add.reduceat(np.abs(state.amplitudes) ** 2, state.space.starts)
 
 
 def probability_history(op: EvolutionOperator, state: WalkState, steps: int) -> np.ndarray:
@@ -131,7 +127,7 @@ def probability_history(op: EvolutionOperator, state: WalkState, steps: int) -> 
     long run builds neither a WalkState per step nor the dense matrix.
     """
     _check_walk(op, state, steps)
-    starts = _origin_starts(state.space)
+    starts = state.space.starts
     history = np.empty((steps + 1, starts.size))
     amps = state.amplitudes
     for t in range(steps + 1):

@@ -1,8 +1,9 @@
 """Graphs, symmetric arcs, line digraphs, and Euler-cycle partitions.
 
 Vertices are labelled 1..n.  Every edge {u, v} contributes the two arcs
-(u, v) and (v, u); walks live on this arc space.  A partition decomposes the
-line digraph's vertex set (which is the arc set) into disjoint cycles with
+(u, v) and (v, u); walks live on this arc space, whose order ``ArcSpace``
+alone fixes and every other module reads.  A partition decomposes the line
+digraph's vertex set (which is the arc set) into disjoint cycles with
 pairwise-distinct members; equivalently it fixes, at each vertex, a bijection
 between incoming and outgoing arcs.  The number of partitions is the product
 of the factorials of the vertex degrees.
@@ -117,15 +118,11 @@ class Graph:
         return cls(int(vertex_count), tuple(sorted(canon)))
 
     def _check_connected(self):
-        adj: dict[int, list[int]] = {v: [] for v in range(1, self.vertex_count + 1)}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
         seen = {1}
         queue = deque([1])
         while queue:
             u = queue.popleft()
-            for w in adj[u]:
+            for w in self._neighbors[u]:
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
@@ -203,7 +200,10 @@ class ArcSpace:
     """The 2|E| arcs of a graph in lexicographic order, with index lookups.
 
     Arcs sharing an origin are contiguous, ordered by terminus; this makes a
-    vertex's block in any arc-indexed matrix a plain slice.
+    vertex's block in any arc-indexed matrix a plain slice.  Derived once, as
+    read-only arrays: ``origin`` and ``terminus`` of every arc, ``reverse``
+    (the index of (v, u) at the place of (u, v): the flip-flop shift) and
+    ``starts``, where each vertex's origin block begins.
     """
 
     graph: Graph
@@ -218,19 +218,29 @@ class ArcSpace:
         return {a: i for i, a in enumerate(self.arcs)}
 
     @cached_property
-    def _origin_slices(self) -> dict[int, slice]:
-        out = {}
-        start = 0
-        for v in self.graph.vertices:
-            d = self.graph.degree(v)
-            out[v] = slice(start, start + d)
-            start += d
-        return out
+    def origin(self) -> np.ndarray:
+        origin = np.array([u for u, _ in self.arcs], dtype=np.intp)
+        origin.setflags(write=False)
+        return origin
 
     @cached_property
-    def _local_index(self) -> dict[int, dict[int, int]]:
-        return {v: {w: i for i, w in enumerate(self.graph.neighbors(v))}
-                for v in self.graph.vertices}
+    def terminus(self) -> np.ndarray:
+        terminus = np.array([v for _, v in self.arcs], dtype=np.intp)
+        terminus.setflags(write=False)
+        return terminus
+
+    @cached_property
+    def reverse(self) -> np.ndarray:
+        # place i of the arcs sorted by (terminus, origin) holds the reverse of arc i
+        reverse = np.lexsort((self.origin, self.terminus))
+        reverse.setflags(write=False)
+        return reverse
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        starts = np.searchsorted(self.origin, self.graph.vertices)
+        starts.setflags(write=False)
+        return starts
 
     def index_of(self, arc: Arc) -> int:
         try:
@@ -239,14 +249,15 @@ class ArcSpace:
             raise ValueError(f"{tuple(arc)} is not an arc of the graph") from None
 
     def origin_slice(self, v: int) -> slice:
-        return self._origin_slices[v]
+        d = self.graph.degree(v)  # raises for a vertex outside the graph
+        start = self.starts.item(v - 1)
+        return slice(start, start + d)
 
     def local_index(self, v: int, w: int) -> int:
         """Position of terminus w within the local basis at vertex v."""
-        try:
-            return self._local_index[v][w]
-        except KeyError:
-            raise ValueError(f"{w} is not a neighbour of {v}") from None
+        if not self.graph.has_edge(v, w):
+            raise ValueError(f"{w} is not a neighbour of {v}")
+        return self._index[(v, w)] - self.starts.item(v - 1)
 
 
 def build_arc_space(g: Graph) -> ArcSpace:
@@ -277,12 +288,8 @@ class LineDigraph:
 
 
 def line_digraph(g: Graph) -> LineDigraph:
-    space = build_arc_space(g)
-    pairs = []
-    for (u, v) in space.arcs:
-        for w in g.neighbors(v):
-            pairs.append(((u, v), (v, w)))
-    return LineDigraph(space.arcs, tuple(pairs))
+    arcs = build_arc_space(g).arcs
+    return LineDigraph(arcs, tuple(((u, v), (v, w)) for u, v in arcs for w in g.neighbors(v)))
 
 
 # ---------------------------------------------------------------------------

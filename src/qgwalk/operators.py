@@ -200,8 +200,7 @@ class EvolutionOperator:
         inv[self.perm] = np.arange(self.perm.size)
         groups = []
         for d, vs in sorted(by_degree.items()):
-            starts = np.array([self.space.origin_slice(v).start for v in vs])
-            block_arcs = starts[:, None] + np.arange(d)
+            block_arcs = self.space.starts[np.subtract(vs, 1), None] + np.arange(d)
             blocks = np.stack([self.coins.block(v) for v in vs])
             if self.kind == "G":
                 groups.append((block_arcs, inv[block_arcs], blocks))
@@ -253,8 +252,8 @@ def coin_operator(space: ArcSpace, coins: CoinSet) -> np.ndarray:
     coins.validate(space.graph)
     n = space.size
     c = np.zeros((n, n), dtype=complex)
-    for v in space.graph.vertices:
-        sl = space.origin_slice(v)
+    for v, start in zip(space.graph.vertices, space.starts.tolist()):
+        sl = slice(start, start + space.graph.degree(v))
         c[sl, sl] = coins.block(v)
     return c
 
@@ -381,10 +380,8 @@ def a_type_reduction_residual(space: ArcSpace, p: Partition, coins: CoinSet) -> 
 def line_digraph_adjacency(space: ArcSpace) -> np.ndarray:
     """M[target, source] = 1 when source -> target compose head to tail."""
     n = space.size
-    m = np.zeros((n, n))
-    for col, (_i, j) in enumerate(space.arcs):
-        m[space.origin_slice(j), col] = 1.0
-    return m
+    # compared straight into the float matrix, with no n x n boolean temporary
+    return np.equal(space.origin[:, None], space.terminus, out=np.empty((n, n)))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ The walk U(k) = Phi(k) Sigma(k) S is the G-type flip-flop evolution with the
 metric-graph coins.  A wavenumber k is an eigenvalue of the underlying
 differential problem exactly when U(k) has eigenvalue 1; the smallest singular
 value of I - U(k) is the root indicator scanned and refined here.  Every dense
-U(k) here is the coin operator C(k) with its columns gathered through the
-flip-flop shift permutation: the entries of C S, with no shift matrix.
+U(k) here is the coin operator C(k) on ``q.arc_space`` with its columns gathered
+through arc reversal (the flip-flop shift): the entries of C S, no shift matrix.
 
 Edge parameters are read per arc, in arc order, from ``q.arc_lengths`` and
 ``q.arc_potentials``; ``q.propagation_phases(k)`` is Phi(k), exp(i L (k - A))
@@ -43,8 +43,8 @@ from .coins import (
     projector_coins,
     quantum_graph_coins,
 )
-from .graphs import ArcSpace, Graph, build_arc_space, flip_flop_partition
-from .operators import CoinSet, EvolutionOperator, coin_operator, evolution, shift_permutation
+from .graphs import ArcSpace, Graph, flip_flop_partition
+from .operators import CoinSet, EvolutionOperator, coin_operator, evolution
 
 __all__ = [
     "PoleProximityError",
@@ -76,30 +76,24 @@ class PoleProximityError(ValueError):
 
 def quantum_graph_walk(g: Graph, q: QuantumGraphParams, k: float) -> EvolutionOperator:
     """G-type flip-flop walk with the metric-graph coins at wavenumber k."""
-    space = build_arc_space(g)
-    return evolution(space, flip_flop_partition(g), quantum_graph_coins(g, q, k), "G")
+    return evolution(q.arc_space, flip_flop_partition(g), quantum_graph_coins(g, q, k), "G")
 
 
-def _flip_flop_space(g: Graph) -> tuple[ArcSpace, np.ndarray]:
-    space = build_arc_space(g)
-    return space, shift_permutation(space, flip_flop_partition(g))
+def _dense_walk(g: Graph, q: QuantumGraphParams, k: float) -> np.ndarray:
+    """Dense U(k) = C(k) S: the coin operator's columns gathered through arc reversal."""
+    space = q.arc_space
+    return coin_operator(space, quantum_graph_coins(g, q, k))[:, space.reverse]
 
 
-def _dense_walk(space: ArcSpace, perm: np.ndarray, q: QuantumGraphParams, k: float) -> np.ndarray:
-    """Dense U(k) = C(k) S: the coin operator's columns gathered through ``perm``."""
-    return coin_operator(space, quantum_graph_coins(space.graph, q, k))[:, perm]
-
-
-def _gap(space: ArcSpace, perm: np.ndarray, q: QuantumGraphParams,
-         k: float) -> tuple[np.ndarray, np.ndarray]:
+def _gap(g: Graph, q: QuantumGraphParams, k: float) -> tuple[np.ndarray, np.ndarray]:
     """I - U(k) and its singular values, largest first."""
-    gap = np.eye(space.size) - _dense_walk(space, perm, q, k)
+    gap = np.eye(q.arc_space.size) - _dense_walk(g, q, k)
     return gap, np.linalg.svd(gap, compute_uv=False)
 
 
 def stationarity_indicator(g: Graph, q: QuantumGraphParams, k: float) -> float:
     """Smallest singular value of I - U(k); zero exactly at eigenvalues."""
-    return float(_gap(*_flip_flop_space(g), q, k)[1][-1])
+    return float(_gap(g, q, k)[1][-1])
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +188,13 @@ def scan_roots(g: Graph, q: QuantumGraphParams, k_min: float, k_max: float,
     if grid_points > MAX_GRID_POINTS:
         raise ValueError(f"scan grid of {grid_points} points is over the "
                          f"{MAX_GRID_POINTS} limit; narrow [k_min, k_max] or set grid_points")
-    space, perm = _flip_flop_space(g)
     weights = VertexWeights.uniform(g)
     ks = np.linspace(k_min, k_max, grid_points)
     indicators = np.empty(grid_points)
     dets = np.empty(grid_points, dtype=complex)
     reduced = np.empty(grid_points, dtype=complex)
     for i, k in enumerate(ks):
-        gap, svals = _gap(space, perm, q, k)
+        gap, svals = _gap(g, q, k)
         indicators[i] = svals[-1]
         dets[i] = np.linalg.det(gap)
         try:
@@ -217,10 +210,10 @@ def scan_roots(g: Graph, q: QuantumGraphParams, k_min: float, k_max: float,
 
     found = []
     for lo, hi in candidates:
-        k_star, val = _golden_minimize(lambda k: float(_gap(space, perm, q, k)[1][-1]),
+        k_star, val = _golden_minimize(lambda k: float(_gap(g, q, k)[1][-1]),
                                        float(lo), float(hi), refine_tol)
         if val <= root_tol:
-            svals = _gap(space, perm, q, k_star)[1]
+            svals = _gap(g, q, k_star)[1]
             found.append(Root(k_star, val, int(np.sum(svals <= 1e-8))))
 
     found.sort(key=lambda r: r.k)
@@ -256,8 +249,8 @@ def stationary_vector(g: Graph, q: QuantumGraphParams, k: float,
     The global phase is fixed by making the largest-magnitude component real
     and positive (first such index on ties).
     """
-    space, perm = _flip_flop_space(g)
-    _, svals, vh = np.linalg.svd(np.eye(space.size) - _dense_walk(space, perm, q, k))
+    space = q.arc_space
+    _, svals, vh = np.linalg.svd(np.eye(space.size) - _dense_walk(g, q, k))
     defect = float(svals[-1])
     if defect > root_tol:
         raise ValueError(f"indicator {defect:.3e} at k={k!r}; not a root within {root_tol:g}")
@@ -282,11 +275,10 @@ def outgoing_amplitudes(space: ArcSpace, q: QuantumGraphParams, k: float,
 def b_coefficients(space: ArcSpace, q: QuantumGraphParams, k: float,
                    a: np.ndarray) -> np.ndarray:
     """Incoming weights b(i,j) = a(j,i) exp(i L (k + A(i,j))): a times the propagation
-    phases, read through the flip-flop (arc reversal) permutation."""
+    phases, read through the arc reversal permutation."""
     if space.graph != q.graph:
         raise ValueError("parameters belong to a different graph")
-    reverse = shift_permutation(space, flip_flop_partition(space.graph))
-    return (a * q.propagation_phases(k))[reverse]
+    return (a * q.propagation_phases(k))[space.reverse]
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,7 +402,7 @@ def characteristic_determinant(g: Graph, q: QuantumGraphParams, k: float, t: com
     """det(I - t U(k)) from the assembled walk (projector-steered coins)."""
     if weights is None:
         weights = VertexWeights.uniform(g)
-    space = build_arc_space(g)
+    space = q.arc_space
     u = evolution(space, flip_flop_partition(g), projector_coins(g, q, weights, k), "G").matrix
     return complex(np.linalg.det(np.eye(space.size) - t * u))
 
@@ -441,7 +433,7 @@ def reduced_secular_determinant(g: Graph, q: QuantumGraphParams, k: float, t: co
     if q.graph != g:
         raise ValueError("parameters belong to a different graph")
     n = g.vertex_count
-    origin, terminus = (np.array(build_arc_space(g).arcs) - 1).T
+    origin, terminus = q.arc_space.origin - 1, q.arc_space.terminus - 1
 
     round_trip = np.exp(2j * k * q.arc_lengths)
     delta = 1.0 - t * t * round_trip
@@ -455,10 +447,10 @@ def reduced_secular_determinant(g: Graph, q: QuantumGraphParams, k: float, t: co
                    else 1.0 + np.exp(-1j * boundary_phase(q.lam(i), g.degree(i), k))
                    for i in g.vertices])
     alpha = np.concatenate([weights.vector(i) for i in g.vertices])
-    reverse = np.lexsort((origin, terminus))  # arc l -> i at the place of arc i -> l
     phase = np.exp(1j * q.arc_lengths * (k + q.arc_potentials))
     big_t = np.zeros((n, n), dtype=complex)
-    big_t[origin, terminus] = mu[origin] * np.conj(alpha) * alpha[reverse] * phase / delta
+    alpha_rev = alpha[q.arc_space.reverse]  # the weight of arc l -> i at the place of i -> l
+    big_t[origin, terminus] = mu[origin] * np.conj(alpha) * alpha_rev * phase / delta
     big_d = np.zeros(n, dtype=complex)
     np.add.at(big_d, origin, np.abs(alpha) ** 2 * round_trip / delta)  # summed in arc order
 
@@ -476,11 +468,11 @@ def stationarity_equivalences(g: Graph, q: QuantumGraphParams, k: float,
     The defects agree for any arc vector; they additionally vanish when a is
     A-type stationary, i.e. the shift of a G-type stationary vector.
     """
-    space = build_arc_space(g)
+    space = q.arc_space
     p = flip_flop_partition(g)
     coins = quantum_graph_coins(g, q, k)
     # the flip-flop shift is an involution, so a gather through it is S a
-    b = a[shift_permutation(space, p)]
+    b = a[space.reverse]
     ua = evolution(space, p, coins, "A").matrix
     ug = evolution(space, p, coins, "G").matrix
     ua_d = evolution(space, p, coins.dagger(), "A").matrix
@@ -509,10 +501,9 @@ def scattering_factorization(g: Graph, q: QuantumGraphParams, k: float) -> Scatt
     (2 / (d_j + i lam_j / k)) J - I, or -I at a DIRICHLET vertex.  The
     returned residual is the spectral-norm defect of the factorization.
     """
-    space = build_arc_space(g)
+    u = _dense_walk(g, q, k)
     sigma = CoinSet({j: _scattering_block(g.degree(j), q.lam(j), k) for j in g.vertices})
-    vertex_step = evolution(space, flip_flop_partition(g), sigma, "G")
-    u = _dense_walk(space, vertex_step.perm, q, k)
+    vertex_step = evolution(q.arc_space, flip_flop_partition(g), sigma, "G")
     phases = q.propagation_phases(k)
     residual = float(np.linalg.norm(u - phases[:, None] * vertex_step.matrix, 2))
     return ScatteringFactorization(vertex_step, phases, residual)

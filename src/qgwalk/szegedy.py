@@ -15,7 +15,7 @@ symmetric n x n matrix with entries sqrt(p(i,j) p(j,i)):
 Eigenvectors lift as (I - exp(i theta) S) A p; at nu = +/-1 the lift can
 vanish, in which case that direction carries no genuine eigenvector.  The
 lifts are checked matrix-free: one product lifts every discriminant
-eigenvector, the shift is a scatter through the walk's arc permutation, and
+eigenvector, the shift is a gather through arc reversal (``space.reverse``), and
 each residual applies the walk with ``EvolutionOperator.apply``.
 
 The oracle, ``direct_spectrum``, diagonalizes the dense walk.  When the walk
@@ -56,11 +56,9 @@ def discriminant_matrix(t: TransitionMatrix) -> np.ndarray:
 
 def lift_map(space: ArcSpace, t: TransitionMatrix) -> np.ndarray:
     """Isometry (2|E| x n) sending vertex j to its sqrt-profile over arcs."""
-    g = space.graph
-    a = np.zeros((space.size, g.vertex_count))
-    for j in g.vertices:
-        for l in g.neighbors(j):
-            a[space.index_of((j, l)), j - 1] = np.sqrt(t.entry(j, l))
+    origin, terminus = space.origin - 1, space.terminus - 1
+    a = np.zeros((space.size, space.graph.vertex_count))
+    a[np.arange(space.size), origin] = np.sqrt(t.matrix[origin, terminus])
     return a
 
 
@@ -116,8 +114,7 @@ def szegedy_spectrum(space: ArcSpace, t: TransitionMatrix) -> SpectralResult:
 
     op = szegedy_walk(space, t)
     lifted = lift_map(space, t) @ vecs
-    shifted = np.empty_like(lifted)
-    shifted[op.perm] = lifted
+    shifted = lifted[space.reverse]
 
     eigenvalues: list[complex] = []
     lifts: list[LiftedEigenvector] = []

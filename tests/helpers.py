@@ -22,14 +22,17 @@ from qgwalk import (
     TransitionMatrix,
     VertexWeights,
     build_arc_space,
+    complete_graph,
     evolution,
     flip_flop_partition,
     grover_coins,
     identity_coins,
     projector_coins,
     quantum_graph_coins,
+    random_connected_graph,
     random_reversible_transition,
     random_unitary_coins,
+    star_graph,
     szegedy_coins,
 )
 
@@ -321,3 +324,10 @@ BOWTIE_EDGES = [(1, 2), (1, 3), (1, 4), (2, 4)]
 
 def bowtie_graph() -> Graph:
     return Graph.from_edges(4, BOWTIE_EDGES)
+
+
+def arc_order_graphs() -> list[Graph]:
+    """A star, the bowtie, K6 and seeded random graphs, for checks of arc order."""
+    rng = np.random.default_rng(808)
+    return [star_graph(4), bowtie_graph(), complete_graph(6),
+            *(random_connected_graph(rng, 2, 9, 0.4) for _ in range(6))]

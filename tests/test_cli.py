@@ -342,6 +342,21 @@ def test_two_keys_naming_one_arc_or_vertex_are_a_config_error(tmp_path, capsys, 
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("text,key", [
+    # one key written twice, which a plain json.load settles by keeping the last
+    ('{"graph": {"vertices": 2, "edges": [[1, 2]]}, "quantum_graph": {"lengths": '
+     '{"1,2": 1.0, "1,2": 2.0}}, "scan": {"k_min": 1.0, "k_max": 2.0}}', "1,2"),
+    ('{"graph": {"vertices": 2, "edges": [[1, 2]]}, "scan": {"k_min": 1.0, "k_max": 2.0}, '
+     '"scan": {"k_min": 3.0, "k_max": 3.3}}', "scan"),
+])
+def test_a_key_repeated_in_one_object_is_a_config_error(tmp_path, capsys, text, key):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["qg-scan", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: config gives the key {key!r} twice in one object\n"
+    assert not (tmp_path / "roots.csv").exists()
+
+
 def test_infinite_scan_window_is_a_config_error(tmp_path, capsys):
     config = dict(SCAN_CONFIG, scan={"k_min": 0.5, "k_max": math.inf})
     assert run(tmp_path, config, "qg-scan") == 2
@@ -389,6 +404,26 @@ def test_negative_or_nan_root_tol_is_a_config_error(tmp_path, capsys, tol):
     assert run(tmp_path, config, "qg-scan") == 2
     assert capsys.readouterr().err.startswith("error: root_tol must be nonnegative, got ")
     assert not (tmp_path / "roots.csv").exists()
+
+
+@pytest.mark.parametrize("tol", [-1, math.nan])
+def test_negative_or_nan_eigenfunction_root_tol_is_a_config_error(tmp_path, capsys, tol):
+    config = dict(EIGEN_CONFIG, eigenfunction=dict(EIGEN_CONFIG["eigenfunction"], root_tol=tol))
+    assert run(tmp_path, config, "qg-eigenfunction") == 2
+    assert capsys.readouterr().err.startswith("error: root_tol must be nonnegative, got ")
+    assert not (tmp_path / "boundary.csv").exists()
+
+
+@pytest.mark.parametrize("command,config", [
+    ("verify", VERIFY_CONFIG), ("szegedy", SZEGEDY_CONFIG), ("qg-eigenfunction", EIGEN_CONFIG),
+])
+@pytest.mark.parametrize("tol", ["nan", "-1", "x"])
+def test_negative_or_nan_tol_is_rejected_at_parsing(tmp_path, capsys, command, config, tol):
+    with pytest.raises(SystemExit) as exit_info:
+        run(tmp_path, config, command, "--tol", tol)
+    assert exit_info.value.code == 2
+    assert "error: argument --tol: " in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 @pytest.mark.parametrize("command,config,message", [

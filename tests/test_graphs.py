@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import C4_P1, C4_P2, C4_P3, c4_graph
+from helpers import C4_P1, C4_P2, C4_P3, arc_order_graphs, c4_graph
 from qgwalk import (
     Graph,
     GraphValidationError,
@@ -20,7 +20,9 @@ from qgwalk import (
     path_graph,
     random_connected_graph,
     random_partition,
+    QuantumGraphParams,
     reverse_partition,
+    shift_permutation,
     star_graph,
 )
 
@@ -122,6 +124,44 @@ def test_arc_index_roundtrip_and_blocks():
     sl = space.origin_slice(1)
     assert [space.arcs[i] for i in range(sl.start, sl.stop)] == [(1, 2), (1, 3), (1, 4)]
     assert space.local_index(1, 3) == 1
+
+
+@pytest.mark.parametrize("g", arc_order_graphs())
+def test_arc_space_arrays_match_the_arc_list(g):
+    space = build_arc_space(g)
+    assert space.origin.tolist() == [u for u, _ in space.arcs]
+    assert space.terminus.tolist() == [v for _, v in space.arcs]
+    # the flip-flop shift, and the lexsort the reduced determinant once kept
+    flip_flop = shift_permutation(space, flip_flop_partition(g))
+    assert np.array_equal(space.reverse, flip_flop)
+    assert np.array_equal(space.reverse, np.lexsort((space.origin, space.terminus)))
+    assert all(space.arcs[r] == (v, u) for r, (u, v) in zip(space.reverse, space.arcs))
+    assert space.starts.tolist() == [space.origin_slice(v).start for v in g.vertices]
+    for v in g.vertices:
+        sl = space.origin_slice(v)
+        assert [space.arcs[i] for i in range(sl.start, sl.stop)] == [(v, w) for w in g.neighbors(v)]
+        assert [space.local_index(v, w) for w in g.neighbors(v)] == list(range(g.degree(v)))
+        with pytest.raises(ValueError, match="is not a neighbour of"):
+            space.local_index(v, v)
+    for arr in (space.origin, space.terminus, space.reverse, space.starts):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+@pytest.mark.parametrize("g", arc_order_graphs())
+def test_parameters_hold_the_graphs_arc_space(g):
+    q = QuantumGraphParams.build(g)
+    assert q.arc_space.graph == g
+    assert q.arc_space.arcs == build_arc_space(g).arcs
+    assert q == QuantumGraphParams.build(g)  # the derived space takes no part in equality
+
+
+def test_origin_slice_rejects_a_vertex_outside_the_graph():
+    space = build_arc_space(s3())
+    for v in (0, 5):
+        with pytest.raises(GraphValidationError):
+            space.origin_slice(v)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import C4_P1, C4_P3, bowtie_graph, c4_graph, coin_families
+from helpers import C4_P1, C4_P3, arc_order_graphs, bowtie_graph, c4_graph, coin_families
 from qgwalk import (
     CoinSet,
     Graph,
@@ -493,6 +493,16 @@ def test_adjacency_matrix_agrees_with_line_digraph():
             for tgt in ld.out_neighbors(src):
                 expected[space.index_of(tgt), space.index_of(src)] = 1.0
         assert np.array_equal(m, expected)
+
+
+@pytest.mark.parametrize("g", arc_order_graphs())
+def test_adjacency_matrix_equals_the_per_arc_loop(g):
+    space = build_arc_space(g)
+    reference = np.zeros((space.size, space.size))
+    for col, (_i, j) in enumerate(space.arcs):
+        reference[space.origin_slice(j), col] = 1.0
+    m = line_digraph_adjacency(space)
+    assert m.dtype == reference.dtype and np.array_equal(m, reference)
 
 
 def test_support_report_flip_flop():

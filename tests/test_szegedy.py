@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import c4_graph
+from helpers import arc_order_graphs, c4_graph
 from qgwalk import (
     Graph,
     TransitionMatrix,
@@ -78,6 +78,18 @@ def test_lift_map_is_an_isometry():
     t = random_reversible_transition(g, rng)
     a = lift_map(build_arc_space(g), t)
     assert np.abs(a.conj().T @ a - np.eye(g.vertex_count)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("g", arc_order_graphs())
+def test_lift_map_equals_the_per_arc_loop(g):
+    t = random_reversible_transition(g, np.random.default_rng(g.vertex_count))
+    space = build_arc_space(g)
+    reference = np.zeros((space.size, g.vertex_count))
+    for j in g.vertices:
+        for l in g.neighbors(j):
+            reference[space.index_of((j, l)), j - 1] = np.sqrt(t.entry(j, l))
+    a = lift_map(space, t)
+    assert a.dtype == reference.dtype and np.array_equal(a, reference)
 
 
 def test_lift_map_conjugation_recovers_the_discriminant():
