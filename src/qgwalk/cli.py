@@ -77,7 +77,6 @@ from .szegedy import (
     direct_spectrum,
     random_reversible_transition,
     szegedy_spectrum,
-    szegedy_walk,
 )
 
 MAX_ARCS = 2000
@@ -409,11 +408,11 @@ def _cmd_evolve(args) -> int:
     else:
         raise ConfigError("evolve.initial needs 'arc', 'local', or 'amplitudes'")
 
-    history = probability_history(op, state, steps).tolist()
+    history = probability_history(op, state, steps)
     _atomic_write_csv(os.path.join(args.out, "distribution.csv"),
                       ["step", "vertex", "probability"], "%d,%d,%.17g",
                       ((step, v, prob) for step, probs in enumerate(history)
-                       for v, prob in zip(g.vertices, probs)))
+                       for v, prob in zip(g.vertices, probs.tolist())))
     return 0
 
 
@@ -424,25 +423,28 @@ def _cmd_verify(args) -> int:
     section = _section(cfg, "verify", required=False)
     _check_keys(section, {"steps", "other_partition"}, "verify")
     steps = _int(section.get("steps", 3), "verify.steps")
+    if steps < 0:
+        raise ConfigError("steps must be nonnegative")
     p, coins, _kind = _build_walk(g, cfg, args.seed, default_coins="random")
     p2 = _build_partition(g, section.get("other_partition", {"random_seed": args.seed + 1}))
 
-    tol = args.tol if args.tol is not None else 1e-10
-    support = adjacency_support_report(space, p, coins)
+    # first, so that its dense matrices are freed before ug.matrix is built and kept
+    inverse = inverse_walk_residual(space, coins)
+    ug = evolution(space, p, coins, "G")
     checks = [
-        ("unitarity_g", unitarity_defect(evolution(space, p, coins, "G").matrix)),
-        ("unitarity_a", unitarity_defect(evolution(space, p, coins, "A").matrix)),
-        (f"shift_duality_{steps}_steps", shift_duality_residual(space, p, coins, steps)),
-        ("inverse_flip_flop", inverse_walk_residual(space, coins)),
+        ("unitarity_g", unitarity_defect(ug.matrix)),
+        ("unitarity_a", unitarity_defect(ug.with_kind("A").matrix)),
+        (f"shift_duality_{steps}_steps", shift_duality_residual(ug, steps)),
+        ("inverse_flip_flop", inverse),
         ("partition_change", partition_change_residual(space, p, p2, coins)),
-        ("g_type_reduction", g_type_reduction_residual(space, p, coins)),
-        ("a_type_reduction", a_type_reduction_residual(space, p, coins)),
-        ("adjacency_support", support.max_leak),
+        ("g_type_reduction", g_type_reduction_residual(ug)),
+        ("a_type_reduction", a_type_reduction_residual(ug)),
+        ("adjacency_support", adjacency_support_report(ug).max_leak),
     ]
+    rows = [(name, residual, args.tol, residual <= args.tol) for name, residual in checks]
     _atomic_write_csv(os.path.join(args.out, "identities.csv"),
-                      ["identity", "residual", "tolerance", "pass"], "%s,%.17g,%.17g,%s",
-                      [(name, residual, tol, residual <= tol) for name, residual in checks])
-    return 0 if all(residual <= tol for _, residual in checks) else 1
+                      ["identity", "residual", "tolerance", "pass"], "%s,%.17g,%.17g,%s", rows)
+    return 0 if all(ok for *_, ok in rows) else 1
 
 
 def _cmd_szegedy(args) -> int:
@@ -453,13 +455,12 @@ def _cmd_szegedy(args) -> int:
     _check_keys(section, {"transition"}, "szegedy")
     t = _build_transition(g, section.get("transition", "uniform"))
 
-    tol = args.tol if args.tol is not None else 1e-8
     predicted = szegedy_spectrum(space, t)
-    eigenvalues, case = predicted.eigenvalues, predicted.case
+    eigenvalues, case, walk = predicted.eigenvalues, predicted.case, predicted.walk
     lift_residual = max((l.residual for l in predicted.lifts if l.genuine), default=0.0)
     del predicted  # the lifted vectors are not needed during the dense solve
-    computed = direct_spectrum(szegedy_walk(space, t))
-    match = compare_spectra(eigenvalues, computed, tol)
+    computed = direct_spectrum(walk)
+    match = compare_spectra(eigenvalues, computed, args.tol)
 
     _atomic_write_csv(os.path.join(args.out, "spectrum.csv"),
                       ["index", "predicted_re", "predicted_im",
@@ -515,7 +516,6 @@ def _cmd_qg_eigenfunction(args) -> int:
     if "k" not in section:
         raise ConfigError("eigenfunction section needs 'k'")
 
-    tol = args.tol if args.tol is not None else 1e-8
     # always build the report from the least-defect vector; an off-root k is
     # a verification failure (exit 1 below), not a config error
     root_tol = _float(section.get("root_tol", 1e-9), "eigenfunction.root_tol")
@@ -526,7 +526,7 @@ def _cmd_qg_eigenfunction(args) -> int:
     sv = stationary_vector(g, q, _float(section["k"], "eigenfunction.k"), root_tol=math.inf)
     root_ok = sv.defect <= root_tol
     sample = sample_eigenfunction(sv, q, samples)
-    report = boundary_condition_report(sample, q, tol)
+    report = boundary_condition_report(sample, q, args.tol)
     # the four-way check expects the A-type stationary vector: the flip-flop
     # shift (arc reversal) of the G-type one that stationary_vector returns
     equiv = stationarity_equivalences(g, q, sv.k, sv.amplitudes[sv.space.reverse])
@@ -587,20 +587,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Coined walks on graphs: evolution, identity checks, "
                     "spectra, and metric-graph eigenproblems.")
     sub = parser.add_subparsers(dest="command", required=True)
+    tolerances = {"verify": 1e-10, "szegedy": 1e-8, "qg-eigenfunction": 1e-8}
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", default=".", help="directory for CSV output")
         p.add_argument("--seed", type=int, default=0, help="seed for random pieces")
-        p.add_argument("--tol", type=float, default=None,
-                       help="pass/fail tolerance override")
+        if name in tolerances:
+            p.add_argument("--tol", type=float, default=tolerances[name],
+                           help=f"pass/fail tolerance (default {tolerances[name]:g})")
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.tol is not None and not args.tol >= 0.0:  # NaN or negative fails every check
+    if not getattr(args, "tol", 0.0) >= 0.0:  # NaN or negative fails every check
         parser.error(f"argument --tol: must be nonnegative, got {args.tol!r}")
     os.makedirs(args.out, exist_ok=True)
     try:

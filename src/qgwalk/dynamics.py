@@ -14,6 +14,7 @@ check.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,22 +121,21 @@ def finding_probability(state: WalkState) -> np.ndarray:
     return np.add.reduceat(np.abs(state.amplitudes) ** 2, state.space.starts)
 
 
-def probability_history(op: EvolutionOperator, state: WalkState, steps: int) -> np.ndarray:
-    """Finding probabilities after 0, 1, ..., steps steps, one row per step.
+def probability_history(op: EvolutionOperator, state: WalkState,
+                        steps: int) -> Iterator[np.ndarray]:
+    """Finding probabilities after 0, 1, ..., steps steps, yielded one row per step.
 
     Steps a plain amplitude array and checks the norm after every step, so a
-    long run builds neither a WalkState per step nor the dense matrix.
+    long run holds neither its rows nor the dense matrix.
     """
     _check_walk(op, state, steps)
     starts = state.space.starts
-    history = np.empty((steps + 1, starts.size))
     amps = state.amplitudes
     for t in range(steps + 1):
         if t:
             amps = op.apply(amps)
             _check_drift(amps, t)
-        history[t] = np.add.reduceat(np.abs(amps) ** 2, starts)
-    return history
+        yield np.add.reduceat(np.abs(amps) ** 2, starts)
 
 
 # ---------------------------------------------------------------------------

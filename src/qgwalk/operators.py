@@ -12,11 +12,12 @@ neighbour order of j.
 
 A walk is stored as the shift's arc permutation (``shift_permutation``) plus
 the per-vertex coin blocks.  ``EvolutionOperator.apply`` steps a state from
-those alone; ``EvolutionOperator.matrix`` is the dense operator, a cached
-view derived from the same data that dynamics never builds.  The residual
-functions below evaluate exact operator identities on the dense view; each
-returns a spectral-norm defect that is zero in exact arithmetic, so tests
-can pin them near machine precision.
+those alone; ``EvolutionOperator.matrix`` is a cached dense view of the same
+data, which dynamics never builds.  Neither part depends on the type, so
+``with_kind`` gives a walk's other type without rebuilding it.  Each residual
+below takes the walk it checks, of either type, and returns the
+spectral-norm defect of an exact identity on the dense views: zero in exact
+arithmetic, so tests can pin it near machine precision.
 
 Conjugating by the shift is a reindexing: for the permutation matrix S of
 ``perm``, S^T X S = X[perm][:, perm], and S X S^T is the same gather through
@@ -30,7 +31,7 @@ exactly zero residual needs no SVD at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -70,6 +71,7 @@ __all__ = [
 _SPLIT_MIN_ROWS = 64
 
 UNITARITY_TOL = 1e-12  # largest unitarity defect a coin block may have
+SUPPORT_TOL = 1e-12  # largest entry a walk may have off its support pattern
 
 
 def operator_norm(m: np.ndarray) -> float:
@@ -181,6 +183,10 @@ class EvolutionOperator:
     @property
     def size(self) -> int:
         return self.space.size
+
+    def with_kind(self, kind: str) -> "EvolutionOperator":
+        """This walk as type ``kind``: the same permutation and validated blocks."""
+        return self if kind == self.kind else replace(self, kind=kind)
 
     @cached_property
     def _degree_groups(self) -> tuple:
@@ -305,12 +311,10 @@ def random_unitary_coins(g: Graph, rng: np.random.Generator) -> CoinSet:
 # ---------------------------------------------------------------------------
 
 
-def shift_duality_residual(space: ArcSpace, p: Partition, coins: CoinSet, n: int) -> float:
+def shift_duality_residual(op: EvolutionOperator, n: int) -> float:
     """|| (U_G)^n - S^dag (U_A)^n S ||: the two types are conjugate by the shift."""
-    ug = evolution(space, p, coins, "G").matrix
-    ua = evolution(space, p, coins, "A")
-    lhs = np.linalg.matrix_power(ug, n)
-    rhs = np.linalg.matrix_power(ua.matrix, n)[np.ix_(ua.perm, ua.perm)]
+    lhs = np.linalg.matrix_power(op.with_kind("G").matrix, n)
+    rhs = np.linalg.matrix_power(op.with_kind("A").matrix, n)[np.ix_(op.perm, op.perm)]
     return operator_norm(lhs - rhs)
 
 
@@ -322,12 +326,11 @@ def inverse_walk_residual(space: ArcSpace, coins: CoinSet) -> float:
     involution.
     """
     p = flip_flop_partition(space.graph)
-    dag = coins.dagger()
-    ug = evolution(space, p, coins, "G").matrix
-    ua = evolution(space, p, coins, "A").matrix
-    r1 = operator_norm(np.linalg.inv(ug) - evolution(space, p, dag, "A").matrix)
-    r2 = operator_norm(np.linalg.inv(ua) - evolution(space, p, dag, "G").matrix)
-    return max(r1, r2)
+    ug = evolution(space, p, coins, "G")
+    ua_dag = evolution(space, p, coins.dagger(), "A")
+    # the uncached twins go first, so two dense walks at most are alive at once
+    r_a = operator_norm(np.linalg.inv(ug.with_kind("A").matrix) - ua_dag.with_kind("G").matrix)
+    return max(operator_norm(np.linalg.inv(ug.matrix) - ua_dag.matrix), r_a)
 
 
 def _permuted_coins(g: Graph, base: Partition, target: Partition, coins: CoinSet) -> CoinSet:
@@ -346,30 +349,29 @@ def partition_change_residual(space: ArcSpace, p: Partition, p2: Partition, coin
     return operator_norm(target - rebuilt)
 
 
-def g_type_reduction_residual(space: ArcSpace, p: Partition, coins: CoinSet) -> float:
+def g_type_reduction_residual(op: EvolutionOperator) -> float:
     """G-type on any partition equals the dagger of a flip-flop A-type walk.
 
     U_G,p[H] = (U_A,ff[K^dag])^dag with K_j = H_j P_j, P_j the permutation
-    from the flip-flop successor map to p's.
+    from the flip-flop successor map to p's; ``op`` is the walk on p with
+    coins H, of either type.
     """
-    ff = flip_flop_partition(space.graph)
-    k = _permuted_coins(space.graph, ff, p, coins)
-    lhs = evolution(space, p, coins, "G").matrix
-    rhs = evolution(space, ff, k.dagger(), "A").matrix.conj().T
-    return operator_norm(lhs - rhs)
+    ff = flip_flop_partition(op.space.graph)
+    k = _permuted_coins(op.space.graph, ff, op.partition, op.coins)
+    rhs = evolution(op.space, ff, k.dagger(), "A").matrix.conj().T
+    return operator_norm(op.with_kind("G").matrix - rhs)
 
 
-def a_type_reduction_residual(space: ArcSpace, p: Partition, coins: CoinSet) -> float:
+def a_type_reduction_residual(op: EvolutionOperator) -> float:
     """A-type on any partition, conjugated by its shift, reduces the same way.
 
     U_A,p[H] = S_p (U_A,ff[K^dag])^dag S_p^dag with K as in the G-type case.
     """
-    ff = flip_flop_partition(space.graph)
-    k = _permuted_coins(space.graph, ff, p, coins)
-    ua = evolution(space, p, coins, "A")
-    inv = np.argsort(ua.perm)
-    rhs = evolution(space, ff, k.dagger(), "A").matrix.conj().T[np.ix_(inv, inv)]
-    return operator_norm(ua.matrix - rhs)
+    ff = flip_flop_partition(op.space.graph)
+    k = _permuted_coins(op.space.graph, ff, op.partition, op.coins)
+    inv = np.argsort(op.perm)
+    rhs = evolution(op.space, ff, k.dagger(), "A").matrix.conj().T[np.ix_(inv, inv)]
+    return operator_norm(op.with_kind("A").matrix - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -413,19 +415,17 @@ def _support_leak(op: np.ndarray, mask: np.ndarray) -> float:
     return float(np.abs(op[mask == 0.0]).max(initial=0.0))
 
 
-def adjacency_support_report(space: ArcSpace, p: Partition, coins: CoinSet,
-                             tol: float = 1e-12) -> AdjacencySupportReport:
-    m = line_digraph_adjacency(space)
-    ug = evolution(space, p, coins, "G").matrix
-    ua = evolution(space, p, coins, "A")
-    leaks = [_support_leak(ug, m), _support_leak(ua.matrix[np.ix_(ua.perm, ua.perm)], m)]
+def adjacency_support_report(op: EvolutionOperator) -> AdjacencySupportReport:
+    m = line_digraph_adjacency(op.space)
+    ug, ua = op.with_kind("G"), op.with_kind("A")
+    leaks = [_support_leak(ug.matrix, m), _support_leak(ua.matrix[np.ix_(op.perm, op.perm)], m)]
     ff_leak = None
-    if p.is_flip_flop:
+    if op.partition.is_flip_flop:
         ff_leak = _support_leak(ua.matrix, m.T)
         leaks.append(ff_leak)
     return AdjacencySupportReport(
-        g_on_adjacency=leaks[0] <= tol,
-        conjugated_a_on_adjacency=leaks[1] <= tol,
-        flip_flop_a_on_transpose=None if ff_leak is None else ff_leak <= tol,
+        g_on_adjacency=leaks[0] <= SUPPORT_TOL,
+        conjugated_a_on_adjacency=leaks[1] <= SUPPORT_TOL,
+        flip_flop_a_on_transpose=None if ff_leak is None else ff_leak <= SUPPORT_TOL,
         max_leak=max(leaks),
     )

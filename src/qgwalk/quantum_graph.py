@@ -470,18 +470,15 @@ def stationarity_equivalences(g: Graph, q: QuantumGraphParams, k: float,
     """
     space = q.arc_space
     p = flip_flop_partition(g)
-    coins = quantum_graph_coins(g, q, k)
     # the flip-flop shift is an involution, so a gather through it is S a
     b = a[space.reverse]
-    ua = evolution(space, p, coins, "A").matrix
-    ug = evolution(space, p, coins, "G").matrix
-    ua_d = evolution(space, p, coins.dagger(), "A").matrix
-    ug_d = evolution(space, p, coins.dagger(), "G").matrix
+    ua = evolution(space, p, quantum_graph_coins(g, q, k), "A")
+    ua_d = evolution(space, p, ua.coins.dagger(), "A")
     return (
-        float(np.linalg.norm(ua @ a - a)),
-        float(np.linalg.norm(ug_d @ a - a)),
-        float(np.linalg.norm(ua_d @ b - b)),
-        float(np.linalg.norm(ug @ b - b)),
+        float(np.linalg.norm(ua.matrix @ a - a)),
+        float(np.linalg.norm(ua_d.with_kind("G").matrix @ a - a)),
+        float(np.linalg.norm(ua_d.matrix @ b - b)),
+        float(np.linalg.norm(ua.with_kind("G").matrix @ b - b)),
     )
 
 

@@ -86,6 +86,7 @@ class SpectralResult:
     thetas: np.ndarray
     eigenvalues: np.ndarray
     lifts: tuple
+    walk: EvolutionOperator
 
 
 def szegedy_spectrum(space: ArcSpace, t: TransitionMatrix) -> SpectralResult:
@@ -134,7 +135,7 @@ def szegedy_spectrum(space: ArcSpace, t: TransitionMatrix) -> SpectralResult:
     if out.shape != (space.size,):
         raise AssertionError(f"predicted {out.shape[0]} phases, expected {space.size}")
     order = np.lexsort((out.real, np.angle(out)))
-    return SpectralResult(case, nus, thetas, out[order], tuple(lifts))
+    return SpectralResult(case, nus, thetas, out[order], tuple(lifts), op)
 
 
 def _lift_direction(op, ap, sap, nu, mu) -> LiftedEigenvector:

@@ -135,14 +135,14 @@ def test_02_structural_identities(capsys):
         for _ in range(50):
             g, space, p, coins = _random_instance(rng)
             for n in range(6):
-                assert shift_duality_residual(space, p, coins, n) <= 1e-10
+                assert shift_duality_residual(evolution(space, p, coins, "G"), n) <= 1e-10
             assert inverse_walk_residual(space, coins) <= 1e-10
             assert partition_change_residual(space, p, random_partition(g, rng),
                                              coins) <= 1e-10
-            assert g_type_reduction_residual(space, p, coins) <= 1e-10
-            assert a_type_reduction_residual(space, p, coins) <= 1e-10
-            assert adjacency_support_report(space, p, coins).ok
-            assert adjacency_support_report(space, flip_flop_partition(g), coins).ok
+            assert g_type_reduction_residual(evolution(space, p, coins, "G")) <= 1e-10
+            assert a_type_reduction_residual(evolution(space, p, coins, "G")) <= 1e-10
+            assert adjacency_support_report(evolution(space, p, coins, "G")).ok
+            assert adjacency_support_report(evolution(space, flip_flop_partition(g), coins, "G")).ok
         for g in (c4_graph(), path_graph(3)):
             ff = flip_flop_partition(g)
             for p in enumerate_partitions(g):

@@ -15,6 +15,7 @@ import pytest
 
 from helpers import CONFIG_DIR, config_command
 from qgwalk import (
+    CoinSet,
     build_arc_space,
     cycle_graph,
     evolution,
@@ -426,6 +427,50 @@ def test_negative_or_nan_tol_is_rejected_at_parsing(tmp_path, capsys, command, c
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+@pytest.mark.parametrize("command,config", [
+    ("evolve", EVOLVE_CONFIG), ("qg-scan", SCAN_CONFIG), ("partitions", PARTITIONS_CONFIG),
+])
+def test_tol_is_rejected_by_commands_that_check_nothing(tmp_path, capsys, command, config):
+    with pytest.raises(SystemExit) as exit_info:
+        run(tmp_path, config, command, "--tol", "5")
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --tol 5" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("command,default", [
+    ("verify", 1e-10), ("szegedy", 1e-8), ("qg-eigenfunction", 1e-8),
+])
+def test_tol_defaults_per_command(command, default):
+    assert cli._build_parser().parse_args([command, "--config", "c.json"]).tol == default
+
+
+def test_negative_verify_steps_is_a_config_error(tmp_path, capsys):
+    # matrix_power would silently invert the walk and report a passing row
+    config = dict(VERIFY_CONFIG, verify=dict(VERIFY_CONFIG["verify"], steps=-3))
+    assert run(tmp_path, config, "verify") == 2
+    assert capsys.readouterr().err == "error: steps must be nonnegative\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("command,config,validations", [
+    ("evolve", EVOLVE_CONFIG, 1), ("verify", VERIFY_CONFIG, 7),
+    ("szegedy", SZEGEDY_CONFIG, 1), ("qg-eigenfunction", EIGEN_CONFIG, 3),
+])
+def test_each_command_validates_each_walk_once(tmp_path, command, config, validations):
+    """A walk's other type shares its validated coins, so it is never validated again.
+
+    verify: its walk, two flip-flop inversion walks, two partition-change
+    walks and one flip-flop reduction per type; szegedy: the walk it lifts
+    and diagonalizes; qg-eigenfunction: U(k) for the stationary vector, then
+    the walks with C(k) and C(k)^dag.
+    """
+    with mock.patch.object(CoinSet, "validate", autospec=True,
+                           side_effect=CoinSet.validate) as validate:
+        assert run(tmp_path, config, command) == 0
+    assert validate.call_count == validations
+
+
 @pytest.mark.parametrize("command,config,message", [
     ("evolve", dict(EVOLVE_CONFIG, evolve={"steps": 10**12}),
      "error: 'evolve.steps' asks for 4000000000004 CSV rows, over the 10000000 limit"),
@@ -505,7 +550,7 @@ def test_evolve_over_several_chunks_matches_the_reference_bytes(tmp_path):
     space = build_arc_space(g)
     op = evolution(space, flip_flop_partition(g),
                    random_unitary_coins(g, np.random.default_rng(seed)), "G")
-    history = probability_history(op, point_mass(space, (2, 1)), steps)
+    history = list(probability_history(op, point_mass(space, (2, 1)), steps))
     rows = [(step, v, float(p)) for step, probs in enumerate(history)
             for v, p in zip(g.vertices, probs)]
     assert (tmp_path / "distribution.csv").read_bytes() == reference_csv(

@@ -179,7 +179,7 @@ def test_probability_history_matches_stepwise_evolution(kind):
     space = build_arc_space(g)
     op = evolution(space, random_partition(g, rng), random_unitary_coins(g, rng), kind)
     s = point_mass(space, (2, 4))
-    history = probability_history(op, s, 12)
+    history = np.array(list(probability_history(op, s, 12)))
     assert history.shape == (13, 4)
     for t in range(13):
         assert np.array_equal(history[t], finding_probability(evolve(op, s, t)))
@@ -193,9 +193,14 @@ def test_probability_history_guards_the_norm():
     lossy = CoinSet({v: 0.999 * grover_coins(g).block(v) for v in g.vertices})
     op = EvolutionOperator("G", space, p, lossy, shift_permutation(space, p))
     with pytest.raises(ArithmeticError):
-        probability_history(op, point_mass(space, (1, 2)), 3)
+        list(probability_history(op, point_mass(space, (1, 2)), 3))
     with pytest.raises(ArithmeticError):
         evolve(op, point_mass(space, (1, 2)), 3)
+    # rows are stepped as they are taken: the first comes out before any step
+    rows = probability_history(op, point_mass(space, (1, 2)), 3)
+    assert np.array_equal(next(rows), finding_probability(point_mass(space, (1, 2))))
+    with pytest.raises(ArithmeticError):
+        next(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -392,19 +392,44 @@ def test_shift_conjugations_are_exact_gathers(make_graph):
         ua3 = np.linalg.matrix_power(ua, 3)
         assert np.array_equal(ua3[np.ix_(perm, perm)], s.T @ ua3 @ s)
         lhs = np.linalg.matrix_power(ug, 3)
-        assert shift_duality_residual(space, p, coins, 3) == operator_norm(lhs - s.T @ ua3 @ s)
+        assert (shift_duality_residual(evolution(space, p, coins, "G"), 3)
+                == operator_norm(lhs - s.T @ ua3 @ s))
 
         k = _permuted_coins(g, ff, p, coins)
         x = evolution(space, ff, k.dagger(), "A").matrix.conj().T
         assert np.array_equal(x[np.ix_(inv, inv)], s @ x @ s.T)
-        assert a_type_reduction_residual(space, p, coins) == operator_norm(ua - s @ x @ s.T)
+        assert (a_type_reduction_residual(evolution(space, p, coins, "G"))
+                == operator_norm(ua - s @ x @ s.T))
 
         assert np.array_equal(ua[np.ix_(perm, perm)], s.T @ ua @ s)
         off = line_digraph_adjacency(space) == 0.0
         leaks = [np.abs(op[mask]).max(initial=0.0)
                  for op, mask in [(ug, off), (s.T @ ua @ s, off)]
                  + ([(ua, off.T)] if p.is_flip_flop else [])]
-        assert adjacency_support_report(space, p, coins).max_leak == max(leaks)
+        assert adjacency_support_report(evolution(space, p, coins, "G")).max_leak == max(leaks)
+
+
+@pytest.mark.parametrize("kind,other", [("G", "A"), ("A", "G")])
+def test_with_kind_gives_the_other_walk_without_a_rebuild(kind, other):
+    rng = np.random.default_rng(36)
+    for _ in range(5):
+        _, space, p, coins = random_instance(rng)
+        op = evolution(space, p, coins, kind)
+        twin = op.with_kind(other)
+        assert op.with_kind(kind) is op
+        assert twin.kind == other and twin.perm is op.perm and twin.coins is op.coins
+        assert np.array_equal(twin.matrix, evolution(space, p, coins, other).matrix)
+
+
+def test_residuals_take_a_walk_of_either_type():
+    rng = np.random.default_rng(37)
+    for _ in range(5):
+        _, space, p, coins = random_instance(rng)
+        ug, ua = evolution(space, p, coins, "G"), evolution(space, p, coins, "A")
+        assert shift_duality_residual(ug, 3) == shift_duality_residual(ua, 3)
+        assert g_type_reduction_residual(ug) == g_type_reduction_residual(ua)
+        assert a_type_reduction_residual(ug) == a_type_reduction_residual(ua)
+        assert adjacency_support_report(ug) == adjacency_support_report(ua)
 
 
 @pytest.mark.parametrize("kind", ["G", "A"])
@@ -434,7 +459,7 @@ def test_type_duality_through_shift_conjugation():
     for _ in range(10):
         _, space, p, coins = random_instance(rng)
         for n in range(6):
-            assert shift_duality_residual(space, p, coins, n) <= 1e-10
+            assert shift_duality_residual(evolution(space, p, coins, "G"), n) <= 1e-10
 
 
 def test_flip_flop_inversion_swaps_type_and_daggers():
@@ -468,14 +493,14 @@ def test_g_type_reduces_to_flip_flop_a_type():
     rng = np.random.default_rng(34)
     for _ in range(10):
         _, space, p, coins = random_instance(rng)
-        assert g_type_reduction_residual(space, p, coins) <= 1e-10
+        assert g_type_reduction_residual(evolution(space, p, coins, "G")) <= 1e-10
 
 
 def test_a_type_reduces_to_flip_flop_a_type():
     rng = np.random.default_rng(35)
     for _ in range(10):
         _, space, p, coins = random_instance(rng)
-        assert a_type_reduction_residual(space, p, coins) <= 1e-10
+        assert a_type_reduction_residual(evolution(space, p, coins, "G")) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +534,7 @@ def test_support_report_flip_flop():
     rng = np.random.default_rng(41)
     for _ in range(8):
         g, space, _, coins = random_instance(rng)
-        report = adjacency_support_report(space, flip_flop_partition(g), coins)
+        report = adjacency_support_report(evolution(space, flip_flop_partition(g), coins, "G"))
         assert report.g_on_adjacency
         assert report.conjugated_a_on_adjacency
         assert report.flip_flop_a_on_transpose is True
@@ -522,7 +547,7 @@ def test_support_report_generic_partition_skips_transpose_claim():
     space = build_arc_space(g)
     p1 = Partition.from_successors(g, C4_P1)
     coins = random_unitary_coins(g, np.random.default_rng(42))
-    report = adjacency_support_report(space, p1, coins)
+    report = adjacency_support_report(evolution(space, p1, coins, "G"))
     assert report.g_on_adjacency
     assert report.conjugated_a_on_adjacency
     assert report.flip_flop_a_on_transpose is None
