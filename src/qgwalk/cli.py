@@ -160,13 +160,22 @@ def _convert(kind, raw, where: str, what: str):
         raise ConfigError(f"'{where}' must be {what}, got {raw!r}") from None
 
 
+def _is_number(raw) -> bool:
+    """A JSON number: not a string, and not ``true``/``false`` (Python bools are ints)."""
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
 def _int(raw, where: str) -> int:
-    """``int(raw)`` for a JSON value, or a ConfigError naming ``where``."""
-    return _convert(int, raw, where, "an integer")
+    """A JSON integer (``4`` or ``4.0``), or a ConfigError naming ``where``."""
+    if _is_number(raw) and (isinstance(raw, int) or raw.is_integer()):
+        return int(raw)
+    raise ConfigError(f"'{where}' must be an integer, got {raw!r}")
 
 
 def _float(raw, where: str) -> float:
-    """``float(raw)`` for a JSON value, or a ConfigError naming ``where``."""
+    """A JSON number as a float, or a ConfigError naming ``where``."""
+    if not _is_number(raw):
+        raise ConfigError(f"'{where}' must be a number, got {raw!r}")
     return _convert(float, raw, where, "a number")
 
 
@@ -203,19 +212,20 @@ def _keyed(raw, where: str, value, arc_keys: bool) -> dict:
     """A JSON map keyed by arcs or vertices; "1,2" next to "01,2" is a ConfigError."""
     out = {}
     for text, val in _dict(raw, where).items():
-        key = _arc_key(text) if arc_keys else _int(text, f"{where} key")
+        key = _arc_key(text) if arc_keys else _convert(int, text, f"{where} key", "an integer")
         if key in out:
             raise ConfigError(f"'{where}' gives {key} twice")
         out[key] = value(text, val)
     return out
 
 
-def _as_complex(raw) -> complex:
-    if isinstance(raw, (int, float)):
-        return complex(raw)
+def _as_complex(raw, where: str) -> complex:
+    """A JSON number or [re, im] pair as a complex, or a ConfigError naming ``where``."""
+    if _is_number(raw):
+        return complex(_float(raw, where))
     if isinstance(raw, list) and len(raw) == 2:
-        return complex(_float(raw[0], "real part"), _float(raw[1], "imaginary part"))
-    raise ConfigError(f"expected a number or [re, im] pair, got {raw!r}")
+        return complex(_float(raw[0], f"{where}[0]"), _float(raw[1], f"{where}[1]"))
+    raise ConfigError(f"'{where}' must be a number or an [re, im] pair, got {raw!r}")
 
 
 def _check_rows(rows: int, where: str) -> None:
@@ -283,7 +293,8 @@ def _build_transition(g: Graph, spec) -> TransitionMatrix:
     if spec == "uniform":
         return TransitionMatrix.uniform(g)
     if isinstance(spec, list):
-        return TransitionMatrix(g, _convert(lambda rows: np.array(rows, dtype=float), spec,
+        rows = [[_float(x, "transition") for x in _list(row, "transition")] for row in spec]
+        return TransitionMatrix(g, _convert(lambda x: np.array(x, dtype=float), rows,
                                             "transition", "a matrix of numbers"))
     if isinstance(spec, dict) and "random_seed" in spec:
         _check_keys(spec, {"random_seed"}, "transition")
@@ -325,7 +336,7 @@ def _build_weights(g: Graph, spec) -> VertexWeights:
     if isinstance(spec, dict):
         where = "walk.coins.weights"
         return VertexWeights(g, _keyed(spec, where, lambda v, vec: np.array(
-            [_as_complex(x) for x in _list(vec, f"{where}.{v}")]), arc_keys=False))
+            [_as_complex(x, f"{where}.{v}") for x in _list(vec, f"{where}.{v}")]), arc_keys=False))
     raise ConfigError("weights must be 'uniform' or a per-vertex map")
 
 
@@ -356,7 +367,7 @@ def _build_coins(g: Graph, cfg: dict, spec: dict, seed: int):
             raise ConfigError("explicit coins need a 'blocks' entry")
         where = "walk.coins.blocks"
         return CoinSet(_keyed(spec["blocks"], where, lambda v, rows: np.array(
-            [[_as_complex(x) for x in _list(row, f"{where}.{v}")]
+            [[_as_complex(x, f"{where}.{v}") for x in _list(row, f"{where}.{v}")]
              for row in _list(rows, f"{where}.{v}")]), arc_keys=False))
     raise ConfigError(f"unknown coin family {family!r}")
 
@@ -400,11 +411,13 @@ def _cmd_evolve(args) -> int:
         _check_keys(loc, {"vertex", "amplitudes"}, "evolve.initial.local")
         amps = _list(loc["amplitudes"], "evolve.initial.local.amplitudes")
         state = local_state(space, _int(loc["vertex"], "evolve.initial.local.vertex"),
-                            np.array([_as_complex(x) for x in amps]))
+                            np.array([_as_complex(x, "evolve.initial.local.amplitudes")
+                                      for x in amps]))
     elif "amplitudes" in initial:
         state = from_arc_amplitudes(
             space, _keyed(initial["amplitudes"], "evolve.initial.amplitudes",
-                          lambda _key, val: _as_complex(val), arc_keys=True))
+                          lambda key, val: _as_complex(val, f"evolve.initial.amplitudes.{key}"),
+                          arc_keys=True))
     else:
         raise ConfigError("evolve.initial needs 'arc', 'local', or 'amplitudes'")
 
@@ -425,7 +438,9 @@ def _cmd_verify(args) -> int:
     steps = _int(section.get("steps", 3), "verify.steps")
     if steps < 0:
         raise ConfigError("steps must be nonnegative")
-    p, coins, _kind = _build_walk(g, cfg, args.seed, default_coins="random")
+    if "kind" in _section(cfg, "walk", required=False):
+        raise ConfigError("'walk.kind' is not read by verify, which checks both walk types")
+    p, coins, _ = _build_walk(g, cfg, args.seed, default_coins="random")
     p2 = _build_partition(g, section.get("other_partition", {"random_seed": args.seed + 1}))
 
     # first, so that its dense matrices are freed before ug.matrix is built and kept

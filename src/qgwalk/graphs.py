@@ -2,11 +2,14 @@
 
 Vertices are labelled 1..n.  Every edge {u, v} contributes the two arcs
 (u, v) and (v, u); walks live on this arc space, whose order ``ArcSpace``
-alone fixes and every other module reads.  A partition decomposes the line
-digraph's vertex set (which is the arc set) into disjoint cycles with
-pairwise-distinct members; equivalently it fixes, at each vertex, a bijection
-between incoming and outgoing arcs.  The number of partitions is the product
-of the factorials of the vertex degrees.
+alone fixes and every other module reads.  A graph's arc space is built on
+first use and shared, while anything holds it, by every partition, walk and
+parameter set of that graph.  A partition decomposes the line digraph's
+vertex set (which is the arc set) into disjoint cycles with pairwise-distinct
+members; equivalently it fixes, at each vertex, a bijection between incoming
+and outgoing arcs.  Read as a permutation of the arc space, derived and
+validated once (``Partition.perm``), it is the walk's shift.  The number of
+partitions is the product of the factorials of the vertex degrees.
 
 All containers are frozen after construction and safe to share across
 threads.  Arc lists, neighbour lists, and enumeration orders are sorted, so
@@ -17,8 +20,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -261,8 +265,13 @@ class ArcSpace:
 
 
 def build_arc_space(g: Graph) -> ArcSpace:
-    arcs = sorted([(u, v) for u, v in g.edges] + [(v, u) for u, v in g.edges])
-    return ArcSpace(g, tuple(arcs))
+    """The arc space of ``g``: built on first use, then the same object while it is in use."""
+    # cached weakly: the space refers to g, and a strong reference back would be a cycle
+    space = g.__dict__.get("_arc_space", lambda: None)()
+    if space is None:
+        space = ArcSpace(g, tuple(sorted([*g.edges, *((v, u) for u, v in g.edges)])))
+        g.__dict__["_arc_space"] = weakref.ref(space)
+    return space
 
 
 @dataclass(frozen=True)
@@ -304,31 +313,39 @@ class Partition:
     ``successors`` maps each arc (i, j) to the vertex f(i, j) such that
     ((i, j), (j, f(i, j))) lies on one of the cycles.  At every vertex j the
     map i -> f(i, j) is a bijection of the neighbourhood of j onto itself.
-    The successor map is the only stored form; ``cycles`` is derived from it
-    in canonical order (each cycle starts at its smallest arc, cycles sorted
-    by first arc).  Construct through :meth:`from_successors` or
-    :meth:`from_cycles`.
+    It is the only stored input; derived from it once are the read-only
+    ``arc_space`` (the graph's) and ``perm``, the shift as a permutation of
+    that space (``perm[c]`` is the index of (j, f(i, j)) for arc c = (i, j)),
+    and ``cycles``, its orbits in canonical order (each cycle starts at its
+    smallest arc, cycles sorted by first arc).  Construct through
+    :meth:`from_successors` or :meth:`from_cycles`.
     """
 
     graph: Graph
     successors: dict
+    arc_space: ArcSpace = field(init=False, repr=False, compare=False)
+    perm: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g = self.graph
-        arcs = {(u, v) for u, v in g.edges} | {(v, u) for u, v in g.edges}
-        missing = sorted(arcs - set(self.successors))
+        space, succ = build_arc_space(self.graph), self.successors
+        missing = sorted(space._index.keys() - succ.keys())
         if missing:
             raise ValueError(f"successor map missing arcs, e.g. {missing[0]}")
-        if set(self.successors) != arcs:
+        if len(succ) != space.size:
             raise ValueError("successor map must cover exactly the arc set")
-        for i, j in sorted(arcs):
-            m = self.successors[(i, j)]
-            if not g.has_edge(j, m):
-                raise ValueError(f"successor of {(i, j)} is {m}, not a neighbour of {j}")
-        for j in g.vertices:
-            image = {self.successors[(i, j)] for i in g.neighbors(j)}
-            if image != set(g.neighbors(j)):
-                raise ValueError(f"successor map is not a bijection at vertex {j}")
+        perm = np.array([space._index.get((j, succ[(i, j)]), -1) for i, j in space.arcs],
+                        dtype=np.intp)
+        if (perm < 0).any():
+            i, j = space.arcs[np.argmax(perm < 0)]
+            raise ValueError(f"successor of {(i, j)} is {succ[(i, j)]}, not a neighbour of {j}")
+        # the arcs into j go to j's origin block; one of them hit twice leaves another unhit
+        unbalanced = np.bincount(perm, minlength=space.size) != 1
+        if unbalanced.any():
+            j = space.arcs[np.argmax(unbalanced)][0]
+            raise ValueError(f"successor map is not a bijection at vertex {j}")
+        perm.setflags(write=False)
+        object.__setattr__(self, "arc_space", space)
+        object.__setattr__(self, "perm", perm)
 
     @classmethod
     def from_successors(cls, graph: Graph, successors: dict) -> "Partition":
@@ -376,16 +393,12 @@ class Partition:
 
     @property
     def is_flip_flop(self) -> bool:
-        return all(m == i for (i, _j), m in self.successors.items())
+        return np.array_equal(self.perm, self.arc_space.reverse)
 
 
 def flip_flop_partition(g: Graph) -> Partition:
     """The partition of 2-cycles {(u,v), (v,u)}; f(i, j) = i."""
-    succ = {}
-    for u, v in g.edges:
-        succ[(u, v)] = u
-        succ[(v, u)] = v
-    return Partition.from_successors(g, succ)
+    return Partition(g, {a: a[0] for u, v in g.edges for a in ((u, v), (v, u))})
 
 
 def partition_count(g: Graph) -> int:

@@ -10,10 +10,10 @@ Matrix conventions (column = input basis arc, row = output basis arc):
 Within the block of origin vertex j, local coordinates follow the ascending
 neighbour order of j.
 
-A walk is stored as the shift's arc permutation (``shift_permutation``) plus
-the per-vertex coin blocks.  ``EvolutionOperator.apply`` steps a state from
-those alone; ``EvolutionOperator.matrix`` is a cached dense view of the same
-data, which dynamics never builds.  Neither part depends on the type, so
+A walk is stored as the shift's arc permutation (the partition's ``perm``)
+plus the per-vertex coin blocks.  ``EvolutionOperator.apply`` steps a state
+from those alone; ``EvolutionOperator.matrix`` is a cached dense view of the
+same data, which dynamics never builds.  Neither part depends on the type, so
 ``with_kind`` gives a walk's other type without rebuilding it.  Each residual
 below takes the walk it checks, of either type, and returns the
 spectral-norm defect of an exact identity on the dense views: zero in exact
@@ -36,19 +36,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import (
-    ArcSpace,
-    Graph,
-    Partition,
-    flip_flop_partition,
-    partition_permutation,
-)
+from .graphs import ArcSpace, Graph, Partition, flip_flop_partition
 
 __all__ = [
     "CoinSet",
     "EvolutionOperator",
     "AdjacencySupportReport",
-    "shift_permutation",
     "shift_operator",
     "coin_operator",
     "evolution",
@@ -169,20 +162,27 @@ class CoinSet:
 class EvolutionOperator:
     """A single-step walk: the shift as an arc permutation plus the coin blocks.
 
-    ``perm[c]`` is the arc the shift sends arc ``c`` to.  :meth:`apply` steps
-    a state block by block and never forms a matrix; :attr:`matrix` is the
-    dense operator, scattered from the same data on first access and cached.
+    :attr:`space` and :attr:`perm` are the partition's.  :meth:`apply` steps a
+    state block by block and never forms a matrix; :attr:`matrix` is the dense
+    operator, scattered from the same data on first access and cached.
     """
 
     kind: str
-    space: ArcSpace
     partition: Partition
     coins: CoinSet
-    perm: np.ndarray
+
+    @property
+    def space(self) -> ArcSpace:
+        return self.partition.arc_space
 
     @property
     def size(self) -> int:
         return self.space.size
+
+    @property
+    def perm(self) -> np.ndarray:
+        """``perm[c]`` is the arc the shift sends arc ``c`` to."""
+        return self.partition.perm
 
     def with_kind(self, kind: str) -> "EvolutionOperator":
         """This walk as type ``kind``: the same permutation and validated blocks."""
@@ -233,23 +233,15 @@ class EvolutionOperator:
         return u
 
 
-def shift_permutation(space: ArcSpace, p: Partition) -> np.ndarray:
-    """Index map of the shift: arc (i, j) goes to arc (j, f(i, j))."""
-    perm = np.array([space.index_of((j, p.successor(i, j))) for i, j in space.arcs],
-                    dtype=np.intp)
-    perm.setflags(write=False)
-    return perm
-
-
 def shift_operator(space: ArcSpace, p: Partition) -> np.ndarray:
     """Permutation matrix sending arc (i, j) to (j, f(i, j)).
 
-    The package itself works from ``shift_permutation``; this dense form is
-    the reference that the gathers and scatters are checked against.
+    The package itself works from the partition's ``perm``; this dense form
+    is the reference that the gathers and scatters are checked against.
     """
     n = space.size
     s = np.zeros((n, n))
-    s[shift_permutation(space, p), np.arange(n)] = 1.0
+    s[p.perm, np.arange(n)] = 1.0
     return s
 
 
@@ -273,8 +265,10 @@ def evolution(space: ArcSpace, p: Partition, coins: CoinSet, kind: str = "G") ->
     """
     if kind not in ("G", "A"):
         raise ValueError(f"kind must be 'G' or 'A', got {kind!r}")
+    if p.graph != space.graph:
+        raise ValueError("partition belongs to a different graph")
     coins.validate(space.graph)
-    return EvolutionOperator(kind, space, p, coins, shift_permutation(space, p))
+    return EvolutionOperator(kind, p, coins)
 
 
 def random_unitary_coins(g: Graph, rng: np.random.Generator) -> CoinSet:
@@ -333,19 +327,21 @@ def inverse_walk_residual(space: ArcSpace, coins: CoinSet) -> float:
     return max(operator_norm(np.linalg.inv(ug.matrix) - ua_dag.matrix), r_a)
 
 
-def _permuted_coins(g: Graph, base: Partition, target: Partition, coins: CoinSet) -> CoinSet:
-    """Coins K_j = H_j P_j with P_j mapping base's local successor to target's."""
-    blocks = {}
-    for j in g.vertices:
-        perm = partition_permutation(g, base, target, j).matrix(g.neighbors(j))
-        blocks[j] = coins.block(j) @ perm
-    return CoinSet(blocks)
+def _permuted_coins(base: Partition, target: Partition, coins: CoinSet) -> CoinSet:
+    """Coins K_j = H_j P_j, P_j mapping base's local successor to target's: with
+    ``cols[base.perm] = target.perm``, column local(c) of K_j is local(cols[c]) of H_j."""
+    if base.graph != target.graph:
+        raise ValueError("partitions belong to different graphs")
+    g, space, cols = base.graph, base.arc_space, np.empty_like(base.perm)
+    cols[base.perm] = target.perm
+    local = cols - space.starts[space.origin - 1]
+    return CoinSet({j: coins.block(j)[:, local[space.origin_slice(j)]] for j in g.vertices})
 
 
 def partition_change_residual(space: ArcSpace, p: Partition, p2: Partition, coins: CoinSet) -> float:
     """|| U_G,p2[H] - U_G,p[H P] ||: any G-type walk re-expressed on partition p."""
     target = evolution(space, p2, coins, "G").matrix
-    rebuilt = evolution(space, p, _permuted_coins(space.graph, p, p2, coins), "G").matrix
+    rebuilt = evolution(space, p, _permuted_coins(p, p2, coins), "G").matrix
     return operator_norm(target - rebuilt)
 
 
@@ -357,7 +353,7 @@ def g_type_reduction_residual(op: EvolutionOperator) -> float:
     coins H, of either type.
     """
     ff = flip_flop_partition(op.space.graph)
-    k = _permuted_coins(op.space.graph, ff, op.partition, op.coins)
+    k = _permuted_coins(ff, op.partition, op.coins)
     rhs = evolution(op.space, ff, k.dagger(), "A").matrix.conj().T
     return operator_norm(op.with_kind("G").matrix - rhs)
 
@@ -368,7 +364,7 @@ def a_type_reduction_residual(op: EvolutionOperator) -> float:
     U_A,p[H] = S_p (U_A,ff[K^dag])^dag S_p^dag with K as in the G-type case.
     """
     ff = flip_flop_partition(op.space.graph)
-    k = _permuted_coins(op.space.graph, ff, op.partition, op.coins)
+    k = _permuted_coins(ff, op.partition, op.coins)
     inv = np.argsort(op.perm)
     rhs = evolution(op.space, ff, k.dagger(), "A").matrix.conj().T[np.ix_(inv, inv)]
     return operator_norm(op.with_kind("A").matrix - rhs)

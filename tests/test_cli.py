@@ -298,6 +298,50 @@ def test_wrong_typed_value_is_a_config_error(tmp_path, capsys, where, config):
     assert err.startswith(f"error: '{where}' must be ") and err.count("\n") == 1
 
 
+C4_UNIFORM = [[0, 0.5, 0, 0.5], [0.5, 0, 0.5, 0], [0, 0.5, 0, 0.5], [0.5, 0, 0.5, 0]]
+
+
+@pytest.mark.parametrize("where,command,config", [
+    ("graph.n", "evolve", dict(EVOLVE_CONFIG, graph={"family": "cycle", "n": 4.9})),
+    ("evolve.steps", "evolve", dict(EVOLVE_CONFIG, evolve={"steps": 2.7})),
+    ("evolve.steps", "evolve", dict(EVOLVE_CONFIG, evolve={"steps": True})),
+    ("evolve.steps", "evolve", dict(EVOLVE_CONFIG, evolve={"steps": "3"})),
+    ("evolve.initial.amplitudes.1,2[0]", "evolve", dict(EVOLVE_CONFIG, evolve={
+        "steps": 1, "initial": {"amplitudes": {"1,2": [True, 0]}}})),
+    ("evolve.initial.amplitudes.1,2", "evolve", dict(EVOLVE_CONFIG, evolve={
+        "steps": 1, "initial": {"amplitudes": {"1,2": 10**400}}})),
+    ("evolve.initial.local.amplitudes", "evolve", dict(EVOLVE_CONFIG, evolve={
+        "steps": 1, "initial": {"local": {"vertex": 1, "amplitudes": ["1", 0]}}})),
+    ("quantum_graph.lengths", "qg-scan", dict(SCAN_CONFIG, quantum_graph={"lengths": True})),
+    ("quantum_graph.lambdas", "qg-scan", dict(SCAN_CONFIG, quantum_graph={"lambdas": False})),
+    ("scan.grid_points", "qg-scan",
+     dict(SCAN_CONFIG, scan={"k_min": 0.5, "k_max": 7.0, "grid_points": 50.9})),
+    ("transition", "szegedy",
+     dict(SZEGEDY_CONFIG, szegedy={"transition": [C4_UNIFORM[0], [0.5, 0, "0.5", 0],
+                                                  *C4_UNIFORM[2:]]})),
+])
+def test_numeric_values_must_be_json_numbers(tmp_path, capsys, where, command, config):
+    assert run(tmp_path, config, command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: '{where}' must be ") and err.count("\n") == 1
+
+
+def test_an_integral_float_is_an_integer(tmp_path):
+    for sub, steps in (("int", 3), ("float", 3.0)):
+        (tmp_path / sub).mkdir()
+        assert run(tmp_path / sub, dict(EVOLVE_CONFIG, evolve={"steps": steps}), "evolve") == 0
+    assert csv_lines(tmp_path / "int", "distribution.csv") == csv_lines(tmp_path / "float",
+                                                                         "distribution.csv")
+
+
+@pytest.mark.parametrize("kind", ["G", "A"])
+def test_verify_rejects_a_walk_kind(tmp_path, capsys, kind):
+    config = dict(VERIFY_CONFIG, walk=dict(VERIFY_CONFIG["walk"], kind=kind))
+    assert run(tmp_path, config, "verify") == 2
+    assert "'walk.kind'" in capsys.readouterr().err
+    assert not (tmp_path / "identities.csv").exists()
+
+
 @pytest.mark.parametrize("graph,message", [
     ({"family": "cycle", "n": 10**5}, "a graph on 100000 vertices has over 2000 arcs"),
     ({"vertices": 10**5, "edges": [[1, 2]]}, "a graph on 100000 vertices has over 2000 arcs"),

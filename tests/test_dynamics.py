@@ -34,7 +34,6 @@ from qgwalk import (
     random_connected_graph,
     random_partition,
     random_unitary_coins,
-    shift_permutation,
     star_graph,
 )
 
@@ -191,7 +190,7 @@ def test_probability_history_guards_the_norm():
     space = build_arc_space(g)
     p = flip_flop_partition(g)
     lossy = CoinSet({v: 0.999 * grover_coins(g).block(v) for v in g.vertices})
-    op = EvolutionOperator("G", space, p, lossy, shift_permutation(space, p))
+    op = EvolutionOperator("G", p, lossy)
     with pytest.raises(ArithmeticError):
         list(probability_history(op, point_mass(space, (1, 2)), 3))
     with pytest.raises(ArithmeticError):

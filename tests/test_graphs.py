@@ -22,7 +22,6 @@ from qgwalk import (
     random_partition,
     QuantumGraphParams,
     reverse_partition,
-    shift_permutation,
     star_graph,
 )
 
@@ -132,7 +131,7 @@ def test_arc_space_arrays_match_the_arc_list(g):
     assert space.origin.tolist() == [u for u, _ in space.arcs]
     assert space.terminus.tolist() == [v for _, v in space.arcs]
     # the flip-flop shift, and the lexsort the reduced determinant once kept
-    flip_flop = shift_permutation(space, flip_flop_partition(g))
+    flip_flop = flip_flop_partition(g).perm
     assert np.array_equal(space.reverse, flip_flop)
     assert np.array_equal(space.reverse, np.lexsort((space.origin, space.terminus)))
     assert all(space.arcs[r] == (v, u) for r, (u, v) in zip(space.reverse, space.arcs))
@@ -155,6 +154,15 @@ def test_parameters_hold_the_graphs_arc_space(g):
     assert q.arc_space.graph == g
     assert q.arc_space.arcs == build_arc_space(g).arcs
     assert q == QuantumGraphParams.build(g)  # the derived space takes no part in equality
+
+
+@pytest.mark.parametrize("g", arc_order_graphs())
+def test_the_graph_owns_one_arc_space(g):
+    space = build_arc_space(g)
+    assert build_arc_space(g) is space
+    assert QuantumGraphParams.build(g).arc_space is space
+    assert flip_flop_partition(g).arc_space is space
+    assert random_partition(g, np.random.default_rng(5)).arc_space is space
 
 
 def test_origin_slice_rejects_a_vertex_outside_the_graph():
@@ -297,6 +305,37 @@ def test_invalid_partitions_rejected():
     with pytest.raises(ValueError):
         # overlapping cycles: (1,2) appears twice
         Partition.from_cycles(g, [((1, 2), (2, 1)), ((1, 2), (2, 3), (3, 4), (4, 1))])
+
+
+def test_partition_errors_name_the_first_offender():
+    g = c4_graph()
+    cases = [
+        ({a: m for a, m in C4_P1.items() if a not in ((4, 3), (2, 1))},
+         r"^successor map missing arcs, e.g. \(2, 1\)$"),
+        ({**C4_P1, (1, 3): 2}, "^successor map must cover exactly the arc set$"),
+        ({**C4_P1, (3, 2): 2, (1, 4): 9}, r"^successor of \(1, 4\) is 9, not a neighbour of 4$"),
+        ({**C4_P1, (3, 4): 3, (1, 2): 1}, "^successor map is not a bijection at vertex 2$"),
+    ]
+    for successors, message in cases:
+        with pytest.raises(ValueError, match=message):
+            Partition.from_successors(g, successors)
+
+
+def _partition_sample() -> list:
+    """Every partition of C4, P3, S3 and K4, and seeded random ones on the arc-order graphs."""
+    rng = np.random.default_rng(1010)
+    every = [p for g in (c4_graph(), p3(), s3(), complete_graph(4))
+             for p in enumerate_partitions(g)]
+    return every + [random_partition(g, rng) for g in arc_order_graphs() for _ in range(5)]
+
+
+def test_partition_perm_is_the_successor_lookup():
+    for p in _partition_sample():
+        space = build_arc_space(p.graph)
+        expected = [space.index_of((j, p.successor(i, j))) for i, j in space.arcs]
+        assert p.perm.tolist() == expected
+        assert p.arc_space is space and not p.perm.flags.writeable
+        assert p.is_flip_flop == all(m == i for (i, _), m in p.successors.items())
 
 
 def test_random_partition_seeded_and_valid():

@@ -23,12 +23,12 @@ from qgwalk import (
     line_digraph_adjacency,
     operator_norm,
     partition_change_residual,
+    partition_permutation,
     random_connected_graph,
     random_partition,
     random_unitary_coins,
     shift_duality_residual,
     shift_operator,
-    shift_permutation,
     star_graph,
     unitarity_defect,
 )
@@ -50,13 +50,24 @@ def test_shift_is_a_permutation_following_the_partition():
     for _ in range(5):
         g, space, p, _ = random_instance(rng)
         s = shift_operator(space, p)
-        perm = shift_permutation(space, p)
+        perm = p.perm
         assert np.array_equal(s @ s.T, np.eye(space.size))
         assert np.all((s == 0.0) | (s == 1.0))
         for col, (i, j) in enumerate(space.arcs):
             row = space.index_of((j, p.successor(i, j)))
             assert s[row, col] == 1.0
             assert perm[col] == row
+
+
+def test_evolution_rejects_a_partition_of_another_graph():
+    g = c4_graph()
+    space, coins = build_arc_space(g), grover_coins(g)
+    for other in (complete_graph(4), star_graph(4)):  # the star has C4's arc count
+        foreign = flip_flop_partition(other)
+        with pytest.raises(ValueError, match="different graph"):
+            evolution(space, foreign, coins)
+        with pytest.raises(ValueError, match="different graphs"):
+            _permuted_coins(flip_flop_partition(g), foreign, coins)
 
 
 def test_flip_flop_shift_squares_to_identity():
@@ -395,7 +406,7 @@ def test_shift_conjugations_are_exact_gathers(make_graph):
         assert (shift_duality_residual(evolution(space, p, coins, "G"), 3)
                 == operator_norm(lhs - s.T @ ua3 @ s))
 
-        k = _permuted_coins(g, ff, p, coins)
+        k = _permuted_coins(ff, p, coins)
         x = evolution(space, ff, k.dagger(), "A").matrix.conj().T
         assert np.array_equal(x[np.ix_(inv, inv)], s @ x @ s.T)
         assert (a_type_reduction_residual(evolution(space, p, coins, "G"))
@@ -452,6 +463,23 @@ def test_evolution_rejects_bad_kind():
 # ---------------------------------------------------------------------------
 # structural identities
 # ---------------------------------------------------------------------------
+
+
+def test_permuted_coins_gather_equals_the_permutation_product():
+    # every ordered pair on C4, whose per-vertex maps are all involutions, and
+    # random pairs on graphs with higher degrees, where a map and its inverse differ
+    rng = np.random.default_rng(38)
+    parts = enumerate_partitions(c4_graph())
+    pairs = [(base, target) for base in parts for target in parts]
+    pairs += [(random_partition(g, rng), random_partition(g, rng))
+              for g in arc_order_graphs() for _ in range(4)]
+    for base, target in pairs:
+        g = base.graph
+        coins = random_unitary_coins(g, rng)
+        k = _permuted_coins(base, target, coins)
+        for j in g.vertices:
+            p_j = partition_permutation(g, base, target, j).matrix(g.neighbors(j))
+            assert np.array_equal(k.block(j), coins.block(j) @ p_j)
 
 
 def test_type_duality_through_shift_conjugation():
