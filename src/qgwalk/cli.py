@@ -10,17 +10,20 @@ Subcommands (each reads a JSON config and writes into --out):
 * partitions        partitions.csv
 
 Exit code 0 on success, 1 when a requested verification fails, 2 on invalid
-configuration or input.  Every CSV goes through one writer that formats each
-row with a %-template (floats as %.17g, repr-faithful) and ends lines with
-CRLF.  Rows are streamed in fixed-size chunks, so no file's rows are all held
-in memory, and each file is written to a temporary name and moved into place,
-so a failed run leaves no partial file.  Repeated runs with the same config
-and seed produce identical bytes.
+configuration or input.  Every CSV goes through one writer of preformatted
+text blocks.  Rows are formatted with %-templates (floats as %.17g,
+repr-faithful) and end in CRLF: ``evolve`` fills one template per step, which
+holds that step's row for every vertex, and the other commands format their
+rows in fixed-size chunks with a per-row template.  So no file's rows are all
+held in memory.  Each file is written to a temporary name and moved into
+place, so a failed run leaves no partial file.  Repeated runs with the same
+config and seed produce identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -84,7 +87,7 @@ MAX_ARCS = 2000
 # (about 0.3 GB of distribution.csv), not memory; a step or sample count past
 # it is a typo, not a run anyone means to read.
 MAX_CSV_ROWS = 10**7
-# Rows formatted per write while streaming a CSV.
+# Rows per text block that ``_lines`` formats from a per-row template.
 _CHUNK_ROWS = 65536
 
 
@@ -97,30 +100,38 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write_csv(path: str, header: list, fmt: str, rows) -> None:
-    """Write ``header`` and then ``fmt % row`` for each tuple in ``rows``.
+def _atomic_write_csv(path: str, header: list, blocks) -> None:
+    """Write the ``header`` line and then each preformatted text block of ``blocks``.
 
-    ``fmt`` is one row's %-template, such as ``"%d,%d,%.17g"``.  For Python
-    floats ``"%.17g" % x`` equals ``format(x, ".17g")``, and lines end in
-    CRLF, so on cells that need no quoting the bytes are csv.writer's.  Rows
-    are formatted and written ``_CHUNK_ROWS`` at a time into a temporary file
-    that replaces ``path`` only once it is complete.
+    A block is whole CSV lines ending in CRLF, as ``_lines`` formats them.
+    They go into a temporary file that replaces ``path`` only once it is
+    complete.
     """
-    line = fmt + "\r\n"
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(",".join(header) + "\r\n")
-            rows = iter(rows)
-            # range first, so zip stops without taking the next chunk's first row
-            while chunk := [line % row for _, row in zip(range(_CHUNK_ROWS), rows)]:
-                fh.write("".join(chunk))
+            fh.writelines(blocks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _lines(fmt: str, rows):
+    """``fmt % row`` and CRLF for each tuple in ``rows``, ``_CHUNK_ROWS`` lines per block.
+
+    ``fmt`` is one row's %-template, such as ``"%d,%d,%.17g"``.  For Python
+    floats ``"%.17g" % x`` equals ``format(x, ".17g")``, and lines end in
+    CRLF, so on cells that need no quoting the bytes are csv.writer's.
+    """
+    line = fmt + "\r\n"
+    rows = iter(rows)
+    # range first, so zip stops without taking the next chunk's first row
+    while chunk := [line % row for _, row in zip(range(_CHUNK_ROWS), rows)]:
+        yield "".join(chunk)
 
 
 def _check_keys(section: dict, allowed: set, where: str) -> None:
@@ -421,11 +432,14 @@ def _cmd_evolve(args) -> int:
     else:
         raise ConfigError("evolve.initial needs 'arc', 'local', or 'amplitudes'")
 
+    # one step's rows as one template: str(step).join(parts) is
+    # "step,v1,%.17g\r\nstep,v2,%.17g\r\n...", filled by one %
+    parts = ["", *(f",{v},%.17g\r\n" for v in g.vertices)]
     history = probability_history(op, state, steps)
     _atomic_write_csv(os.path.join(args.out, "distribution.csv"),
-                      ["step", "vertex", "probability"], "%d,%d,%.17g",
-                      ((step, v, prob) for step, probs in enumerate(history)
-                       for v, prob in zip(g.vertices, probs.tolist())))
+                      ["step", "vertex", "probability"],
+                      (str(step).join(parts) % tuple(probs.tolist())
+                       for step, probs in enumerate(history)))
     return 0
 
 
@@ -458,7 +472,8 @@ def _cmd_verify(args) -> int:
     ]
     rows = [(name, residual, args.tol, residual <= args.tol) for name, residual in checks]
     _atomic_write_csv(os.path.join(args.out, "identities.csv"),
-                      ["identity", "residual", "tolerance", "pass"], "%s,%.17g,%.17g,%s", rows)
+                      ["identity", "residual", "tolerance", "pass"],
+                      _lines("%s,%.17g,%.17g,%s", rows))
     return 0 if all(ok for *_, ok in rows) else 1
 
 
@@ -479,14 +494,16 @@ def _cmd_szegedy(args) -> int:
 
     _atomic_write_csv(os.path.join(args.out, "spectrum.csv"),
                       ["index", "predicted_re", "predicted_im",
-                       "computed_re", "computed_im"], "%d,%.17g,%.17g,%.17g,%.17g",
-                      [(i, pv.real, pv.imag, cv.real, cv.imag)
-                       for i, (pv, cv) in enumerate(zip(eigenvalues, computed))])
+                       "computed_re", "computed_im"],
+                      _lines("%d,%.17g,%.17g,%.17g,%.17g",
+                             [(i, pv.real, pv.imag, cv.real, cv.imag)
+                              for i, (pv, cv) in enumerate(zip(eigenvalues, computed))]))
     _atomic_write_csv(os.path.join(args.out, "matching.csv"),
                       ["case", "size", "max_angle_error", "shift",
-                       "max_lift_residual", "ok"], "%s,%d,%.17g,%d,%.17g,%s",
-                      [(case, space.size, match.max_angle_error, match.shift,
-                        lift_residual, match.ok)])
+                       "max_lift_residual", "ok"],
+                      _lines("%s,%d,%.17g,%d,%.17g,%s",
+                             [(case, space.size, match.max_angle_error, match.shift,
+                               lift_residual, match.ok)]))
     return 0 if match.ok else 1
 
 
@@ -512,13 +529,15 @@ def _cmd_qg_scan(args) -> int:
     dets, reduced = scan.determinants, scan.reduced_determinants
     _atomic_write_csv(os.path.join(args.out, "scan.csv"),
                       ["k", "indicator", "det_re", "det_im",
-                       "reduced_re", "reduced_im"], "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g",
-                      zip(scan.ks.tolist(), scan.indicators.tolist(),
-                          dets.real.tolist(), dets.imag.tolist(),
-                          reduced.real.tolist(), reduced.imag.tolist()))
+                       "reduced_re", "reduced_im"],
+                      _lines("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g",
+                             zip(scan.ks.tolist(), scan.indicators.tolist(),
+                                 dets.real.tolist(), dets.imag.tolist(),
+                                 reduced.real.tolist(), reduced.imag.tolist())))
     _atomic_write_csv(os.path.join(args.out, "roots.csv"),
-                      ["k", "indicator", "multiplicity"], "%.17g,%.17g,%d",
-                      [(r.k, r.indicator, r.multiplicity) for r in scan.roots])
+                      ["k", "indicator", "multiplicity"],
+                      _lines("%.17g,%.17g,%d",
+                             [(r.k, r.indicator, r.multiplicity) for r in scan.roots]))
     return 0
 
 
@@ -548,17 +567,21 @@ def _cmd_qg_eigenfunction(args) -> int:
 
     xs, values = sample.edge_xs, sample.edge_values
     _atomic_write_csv(os.path.join(args.out, "eigenfunction.csv"),
-                      ["edge_u", "edge_v", "x", "value_re", "value_im"], "%d,%d,%.17g,%.17g,%.17g",
-                      ((u, v, x, re, im) for (u, v) in g.edges
-                       for x, re, im in zip(xs[(u, v)].tolist(), values[(u, v)].real.tolist(),
-                                            values[(u, v)].imag.tolist())))
+                      ["edge_u", "edge_v", "x", "value_re", "value_im"],
+                      _lines("%d,%d,%.17g,%.17g,%.17g",
+                             ((u, v, x, re, im) for (u, v) in g.edges
+                              for x, re, im in zip(xs[(u, v)].tolist(),
+                                                   values[(u, v)].real.tolist(),
+                                                   values[(u, v)].imag.tolist()))))
     _atomic_write_csv(os.path.join(args.out, "boundary.csv"),
-                      ["vertex", "condition", "residual", "ok"], "%d,%s,%.17g,%s",
-                      [(r.vertex, r.condition, r.residual, r.ok) for r in report.rows])
+                      ["vertex", "condition", "residual", "ok"],
+                      _lines("%d,%s,%.17g,%s",
+                             [(r.vertex, r.condition, r.residual, r.ok) for r in report.rows]))
     names = ["a_type", "g_type_dagger", "a_type_dagger_shifted", "g_type_shifted"]
     _atomic_write_csv(os.path.join(args.out, "equivalences.csv"),
-                      ["form", "defect"], "%s,%.17g",
-                      [*zip(names, equiv), ("max_spread", max(equiv) - min(equiv))])
+                      ["form", "defect"],
+                      _lines("%s,%.17g",
+                             [*zip(names, equiv), ("max_spread", max(equiv) - min(equiv))]))
     if not root_ok:
         print(f"k={sv.k!r} is not a root: stationarity defect {sv.defect:.3e} "
               f"exceeds {root_tol:g}")
@@ -577,7 +600,7 @@ def _cmd_partitions(args) -> int:
         rows.append((i, len(p.cycles), ";".join(str(x) for x in lengths), p.is_flip_flop))
     _atomic_write_csv(os.path.join(args.out, "partitions.csv"),
                       ["index", "cycle_count", "cycle_lengths", "is_flip_flop"],
-                      "%d,%d,%s,%s", rows)
+                      _lines("%d,%d,%s,%s", rows))
     return 0
 
 
@@ -596,7 +619,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later ``main`` calls."""
     parser = argparse.ArgumentParser(
         prog="qgwalk",
         description="Coined walks on graphs: evolution, identity checks, "

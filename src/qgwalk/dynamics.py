@@ -37,6 +37,9 @@ __all__ = [
     "one_dim_walk",
 ]
 
+# Amplitudes one chunk of ``probability_history`` steps holds: 512 KiB.
+_CHUNK_AMPLITUDES = 2**15
+
 
 @dataclass(frozen=True, eq=False)
 class WalkState:
@@ -125,17 +128,31 @@ def probability_history(op: EvolutionOperator, state: WalkState,
                         steps: int) -> Iterator[np.ndarray]:
     """Finding probabilities after 0, 1, ..., steps steps, yielded one row per step.
 
-    Steps a plain amplitude array and checks the norm after every step, so a
-    long run holds neither its rows nor the dense matrix.
+    Row 0 comes out before any step.  The walk is then stepped a chunk of
+    steps at a time into one reused buffer of at most ``_CHUNK_AMPLITUDES``
+    amplitudes (one step, if a step alone holds more), and each chunk's norms
+    and origin-block masses are taken in one call each.  A chunk's rows come
+    out up to the first step whose norm has drifted past 1e-10, and then
+    ArithmeticError names that step.  So a long run holds neither its rows
+    nor the dense matrix.
     """
     _check_walk(op, state, steps)
     starts = state.space.starts
     amps = state.amplitudes
-    for t in range(steps + 1):
-        if t:
-            amps = op.apply(amps)
-            _check_drift(amps, t)
-        yield np.add.reduceat(np.abs(amps) ** 2, starts)
+    yield np.add.reduceat(np.abs(amps) ** 2, starts)
+    buf = np.empty((max(1, min(steps, _CHUNK_AMPLITUDES // amps.size)), amps.size), dtype=complex)
+    for first in range(1, steps + 1, len(buf)):
+        chunk = buf[:steps + 1 - first]
+        for row in chunk:
+            row[...] = amps = op.apply(amps)
+        drift = np.abs(np.linalg.norm(chunk, axis=1) - 1.0)
+        bad = np.flatnonzero(drift > 1e-10)
+        if bad.size:
+            chunk = chunk[:bad[0]]
+        yield from np.add.reduceat(np.abs(chunk) ** 2, starts, axis=1)
+        if bad.size:
+            raise ArithmeticError(f"norm drifted by {drift[bad[0]]:.3e} "
+                                  f"over {first + bad[0]} steps")
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,7 @@ class EvolutionOperator:
     def space(self) -> ArcSpace:
         return self.partition.arc_space
 
-    @property
+    @cached_property
     def size(self) -> int:
         return self.space.size
 
@@ -216,9 +216,10 @@ class EvolutionOperator:
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """One step, U @ amps, as a gather and one batched product per degree."""
-        if np.shape(amps) != (self.size,):
-            raise ValueError(f"amplitudes have shape {np.shape(amps)}, expected ({self.size},)")
-        out = np.empty(self.size, dtype=complex)
+        size = self.size
+        if np.shape(amps) != (size,):
+            raise ValueError(f"amplitudes have shape {np.shape(amps)}, expected ({size},)")
+        out = np.empty(size, dtype=complex)
         for rows, cols, blocks in self._degree_groups:
             out[rows] = np.einsum("vab,vb->va", blocks, amps[cols])
         return out

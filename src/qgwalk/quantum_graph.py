@@ -29,7 +29,7 @@ end-to-end check of the whole construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -473,7 +473,8 @@ def stationarity_equivalences(g: Graph, q: QuantumGraphParams, k: float,
     # the flip-flop shift is an involution, so a gather through it is S a
     b = a[space.reverse]
     ua = evolution(space, p, quantum_graph_coins(g, q, k), "A")
-    ua_d = evolution(space, p, ua.coins.dagger(), "A")
+    # C(k)^dag is unitary exactly when the C(k) just validated is
+    ua_d = replace(ua, coins=ua.coins.dagger())
     return (
         float(np.linalg.norm(ua.matrix @ a - a)),
         float(np.linalg.norm(ua_d.with_kind("G").matrix @ a - a)),

@@ -16,15 +16,18 @@ import pytest
 from helpers import CONFIG_DIR, config_command
 from qgwalk import (
     CoinSet,
+    Graph,
     build_arc_space,
     cycle_graph,
     evolution,
+    evolve,
+    finding_probability,
     flip_flop_partition,
     point_mass,
-    probability_history,
+    random_partition,
     random_unitary_coins,
 )
-from qgwalk import cli
+from qgwalk import cli, dynamics
 from qgwalk.cli import main
 
 
@@ -489,6 +492,21 @@ def test_tol_defaults_per_command(command, default):
     assert cli._build_parser().parse_args([command, "--config", "c.json"]).tol == default
 
 
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    # verify's --tol, then a command without --tol, then szegedy's own default
+    assert run(tmp_path, VERIFY_CONFIG, "verify", "--tol", "1e-3") == 0
+    assert {row[2] for row in csv.reader(io.StringIO(
+        (tmp_path / "identities.csv").read_text()))} == {"tolerance", "0.001"}
+    with pytest.raises(SystemExit) as exit_info:
+        run(tmp_path, EVOLVE_CONFIG, "evolve", "--tol", "1")
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
+    with mock.patch.object(cli, "compare_spectra", wraps=cli.compare_spectra) as compare:
+        assert run(tmp_path, SZEGEDY_CONFIG, "szegedy") == 0
+    assert compare.call_args.args[2] == 1e-8
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_negative_verify_steps_is_a_config_error(tmp_path, capsys):
     # matrix_power would silently invert the walk and report a passing row
     config = dict(VERIFY_CONFIG, verify=dict(VERIFY_CONFIG["verify"], steps=-3))
@@ -499,7 +517,7 @@ def test_negative_verify_steps_is_a_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command,config,validations", [
     ("evolve", EVOLVE_CONFIG, 1), ("verify", VERIFY_CONFIG, 7),
-    ("szegedy", SZEGEDY_CONFIG, 1), ("qg-eigenfunction", EIGEN_CONFIG, 3),
+    ("szegedy", SZEGEDY_CONFIG, 1), ("qg-eigenfunction", EIGEN_CONFIG, 2),
 ])
 def test_each_command_validates_each_walk_once(tmp_path, command, config, validations):
     """A walk's other type shares its validated coins, so it is never validated again.
@@ -507,7 +525,7 @@ def test_each_command_validates_each_walk_once(tmp_path, command, config, valida
     verify: its walk, two flip-flop inversion walks, two partition-change
     walks and one flip-flop reduction per type; szegedy: the walk it lifts
     and diagonalizes; qg-eigenfunction: U(k) for the stationary vector, then
-    the walks with C(k) and C(k)^dag.
+    the walk with C(k), whose blocks the walk with C(k)^dag shares daggered.
     """
     with mock.patch.object(CoinSet, "validate", autospec=True,
                            side_effect=CoinSet.validate) as validate:
@@ -575,35 +593,65 @@ def test_writer_bytes_match_csv_writer(tmp_path):
         header = [f"c{i}" for i in range(len(kinds))]
         path = tmp_path / "out.csv"
         with mock.patch.object(cli, "_CHUNK_ROWS", chunk):
-            cli._atomic_write_csv(str(path), header, ",".join(TEMPLATES[k] for k in kinds), rows)
+            cli._atomic_write_csv(str(path), header,
+                                  cli._lines(",".join(TEMPLATES[k] for k in kinds), rows))
         assert path.read_bytes() == reference_csv(header, rows)
 
     check()
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]  # no temporary left behind
 
 
+def distribution_reference(op, state, steps) -> bytes:
+    """distribution.csv formatted row by row, from states stepped one ``evolve`` at a time."""
+    lines = ["step,vertex,probability\r\n"]
+    for step in range(steps + 1):
+        lines += ["%d,%d,%.17g\r\n" % (step, v, p)
+                  for v, p in zip(state.space.graph.vertices, finding_probability(state).tolist())]
+        state = evolve(op, state, 1)
+    return "".join(lines).encode()
+
+
 def test_evolve_over_several_chunks_matches_the_reference_bytes(tmp_path):
     n, steps, seed = 200, 400, 11
-    assert (steps + 1) * n > cli._CHUNK_ROWS
+    g = cycle_graph(n)
+    space = build_arc_space(g)
+    per_chunk = dynamics._CHUNK_AMPLITUDES // space.size
+    assert steps >= 3 * per_chunk and steps % per_chunk  # three or more, the last ragged
     config = {"graph": {"family": "cycle", "n": n},
               "walk": {"coins": {"family": "random", "seed": seed}},
               "evolve": {"steps": steps, "initial": {"arc": [2, 1]}}}
     assert run(tmp_path, config, "evolve") == 0
 
-    g = cycle_graph(n)
-    space = build_arc_space(g)
     op = evolution(space, flip_flop_partition(g),
                    random_unitary_coins(g, np.random.default_rng(seed)), "G")
-    history = list(probability_history(op, point_mass(space, (2, 1)), steps))
-    rows = [(step, v, float(p)) for step, probs in enumerate(history)
-            for v, p in zip(g.vertices, probs)]
-    assert (tmp_path / "distribution.csv").read_bytes() == reference_csv(
-        ["step", "vertex", "probability"], rows)
+    assert (tmp_path / "distribution.csv").read_bytes() == distribution_reference(
+        op, point_mass(space, (2, 1)), steps)
+
+
+# vertex degrees 4, 2, 2, 2, 1, 1
+MIXED_EDGES = [[1, 2], [1, 3], [1, 4], [1, 5], [2, 3], [4, 6]]
+
+
+@pytest.mark.parametrize("kind", ["G", "A"])
+@pytest.mark.parametrize("steps", [0, 1, 7])
+def test_evolve_bytes_on_a_mixed_degree_graph(tmp_path, kind, steps):
+    config = {"graph": {"vertices": 6, "edges": MIXED_EDGES},
+              "walk": {"kind": kind, "partition": {"random_seed": 3},
+                       "coins": {"family": "random", "seed": 4}},
+              "evolve": {"steps": steps, "initial": {"arc": [4, 1]}}}
+    assert run(tmp_path, config, "evolve") == 0
+
+    g = Graph.from_edges(6, MIXED_EDGES)
+    space = build_arc_space(g)
+    op = evolution(space, random_partition(g, np.random.default_rng(3)),
+                   random_unitary_coins(g, np.random.default_rng(4)), kind)
+    assert (tmp_path / "distribution.csv").read_bytes() == distribution_reference(
+        op, point_mass(space, (4, 1)), steps)
 
 
 def test_a_failed_write_leaves_no_file(tmp_path):
     path = tmp_path / "out.csv"
     rows = [(1, 2.0), (2, 3.0), (3, "not a float")]
     with mock.patch.object(cli, "_CHUNK_ROWS", 1), pytest.raises(TypeError):
-        cli._atomic_write_csv(str(path), ["a", "b"], "%d,%.17g", rows)
+        cli._atomic_write_csv(str(path), ["a", "b"], cli._lines("%d,%.17g", rows))
     assert list(tmp_path.iterdir()) == []

@@ -36,6 +36,7 @@ from qgwalk import (
     random_unitary_coins,
     star_graph,
 )
+from qgwalk import dynamics
 
 
 def k2():
@@ -200,6 +201,23 @@ def test_probability_history_guards_the_norm():
     assert np.array_equal(next(rows), finding_probability(point_mass(space, (1, 2))))
     with pytest.raises(ArithmeticError):
         next(rows)
+
+
+def test_probability_history_stops_mid_chunk_at_the_drifting_step():
+    # swap coins carry a point mass one vertex per step: after t steps it sits
+    # on arc (t + 1, t + 2), so the halving coin at vertex bad + 1 acts at step bad
+    g = cycle_graph(200)
+    space = build_arc_space(g)
+    per_chunk = dynamics._CHUNK_AMPLITUDES // space.size
+    bad = per_chunk + per_chunk // 4
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    coins = CoinSet({v: (0.5 if v == bad + 1 else 1.0) * swap for v in g.vertices})
+    op = EvolutionOperator("G", flip_flop_partition(g), coins)
+    rows = []
+    with pytest.raises(ArithmeticError, match=f"^norm drifted by 5.000e-01 over {bad} steps$"):
+        for row in probability_history(op, point_mass(space, (1, 2)), 3 * per_chunk):
+            rows.append(row)
+    assert np.array_equal(rows, np.eye(bad, g.vertex_count))
 
 
 # ---------------------------------------------------------------------------
