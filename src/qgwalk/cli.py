@@ -512,8 +512,7 @@ def _cmd_qg_scan(args) -> int:
     g = _build_graph(cfg)
     q = _build_qg(g, cfg)
     section = _section(cfg, "scan")
-    _check_keys(section, {"k_min", "k_max", "grid_points", "bracket_threshold",
-                          "refine_tol", "root_tol"}, "scan")
+    _check_keys(section, {"k_min", "k_max", "grid_points", "refine_tol", "root_tol"}, "scan")
     if "k_min" not in section or "k_max" not in section:
         raise ConfigError("scan section needs 'k_min' and 'k_max'")
 
@@ -522,9 +521,7 @@ def _cmd_qg_scan(args) -> int:
         grid_points=(_int(section["grid_points"], "scan.grid_points")
                      if "grid_points" in section else None),
         refine_tol=_float(section.get("refine_tol", 1e-10), "scan.refine_tol"),
-        root_tol=_float(section.get("root_tol", 1e-9), "scan.root_tol"),
-        bracket_threshold=_float(section.get("bracket_threshold", 0.1),
-                                 "scan.bracket_threshold"))
+        root_tol=_float(section.get("root_tol", 1e-9), "scan.root_tol"))
 
     dets, reduced = scan.determinants, scan.reduced_determinants
     _atomic_write_csv(os.path.join(args.out, "scan.csv"),

@@ -193,7 +193,7 @@ class VertexWeights:
             if arr.shape != (g.degree(v),):
                 raise ValueError(f"weight vector at {v} has shape {arr.shape}")
             nrm = np.linalg.norm(arr)
-            if abs(nrm - 1.0) > 1e-12:
+            if not abs(nrm - 1.0) <= 1e-12:  # written so that NaN fails
                 raise ValueError(f"weight vector at {v} is not unit (norm {nrm:.15g})")
             arr.setflags(write=False)
             clean[int(v)] = arr
@@ -236,13 +236,14 @@ def szegedy_coins(g: Graph, t: TransitionMatrix) -> CoinSet:
     """
     if t.graph != g:
         raise ValueError("transition matrix belongs to a different graph")
-    blocks = {}
-    for j in g.vertices:
-        p = np.array([t.entry(j, l) for l in g.neighbors(j)])
+    space = build_arc_space(g)
+    stacks = []
+    for vertices, arcs in space.degree_blocks:
+        p = t.matrix[vertices[:, None] - 1, space.terminus[arcs] - 1]  # p(j, l) along j's arcs
         # sqrt of the product, not a product of sqrts: the uniform row then
         # lands on the Grover coin without rounding
-        blocks[j] = 2.0 * np.sqrt(np.outer(p, p)) - np.eye(len(p))
-    return CoinSet(blocks)
+        stacks.append((vertices, 2.0 * np.sqrt(p[:, :, None] * p[:, None, :]) - np.eye(p.shape[1])))
+    return CoinSet.from_stacks(stacks)
 
 
 def _check_wavenumber(k: float) -> None:
@@ -265,19 +266,19 @@ def _metric_coins(g: Graph, q: QuantumGraphParams, k: float,
     _check_wavenumber(k)
     if q.graph != g or (w is not None and w.graph != g):
         raise ValueError("parameters belong to a different graph")
-    phases = q.propagation_phases(k)
-    blocks = {}
-    for j, start in zip(g.vertices, q.arc_space.starts.tolist()):
-        d = g.degree(j)
+
+    def core(j: int, d: int) -> np.ndarray:
         lam = q.lam(j)
         if w is None or lam == DIRICHLET:
-            core = _scattering_block(d, lam, k)
-        else:
-            a = w.vector(j)
-            mu = 1.0 + np.exp(-1j * boundary_phase(lam, d, k))
-            core = mu * np.outer(a, a.conj()) - np.eye(d)
-        blocks[j] = phases[start:start + d, None] * core
-    return CoinSet(blocks)
+            return _scattering_block(d, lam, k)
+        a = w.vector(j)
+        return (1.0 + np.exp(-1j * boundary_phase(lam, d, k))) * np.outer(a, a.conj()) - np.eye(d)
+
+    phases = q.propagation_phases(k)
+    # one scalar core per vertex: divided for a whole stack, 2 / (d + i lam/k) moves in its last bits
+    return CoinSet.from_stacks(
+        (vs, phases[arcs][:, :, None] * np.array([core(j, arcs.shape[1]) for j in vs.tolist()]))
+        for vs, arcs in q.arc_space.degree_blocks)
 
 
 def quantum_graph_coins(g: Graph, q: QuantumGraphParams, k: float) -> CoinSet:

@@ -56,7 +56,7 @@ class WalkState:
         if amps.shape != (self.space.size,):
             raise ValueError(f"state has shape {amps.shape}, expected ({self.space.size},)")
         nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > 1e-9:
+        if not abs(nrm - 1.0) <= 1e-9:  # written so that NaN fails
             raise ValueError(f"state norm {nrm:.15g} is not 1 within 1e-9")
 
     def amplitude(self, arc) -> complex:
@@ -65,7 +65,7 @@ class WalkState:
 
 def _exact_unit(amps: np.ndarray, what: str) -> np.ndarray:
     nrm = np.linalg.norm(amps)
-    if abs(nrm - 1.0) > 1e-12:
+    if not abs(nrm - 1.0) <= 1e-12:
         raise ValueError(f"{what} must have unit norm, got {nrm:.15g}")
     return amps
 
@@ -105,7 +105,7 @@ def _check_walk(op: EvolutionOperator, state: WalkState, steps: int) -> None:
 
 def _check_drift(amps: np.ndarray, steps: int) -> None:
     drift = abs(np.linalg.norm(amps) - 1.0)
-    if drift > 1e-10:
+    if not drift <= 1e-10:
         raise ArithmeticError(f"norm drifted by {drift:.3e} over {steps} steps")
 
 
@@ -146,7 +146,7 @@ def probability_history(op: EvolutionOperator, state: WalkState,
         for row in chunk:
             row[...] = amps = op.apply(amps)
         drift = np.abs(np.linalg.norm(chunk, axis=1) - 1.0)
-        bad = np.flatnonzero(drift > 1e-10)
+        bad = np.flatnonzero(~(drift <= 1e-10))
         if bad.size:
             chunk = chunk[:bad[0]]
         yield from np.add.reduceat(np.abs(chunk) ** 2, starts, axis=1)
@@ -253,7 +253,7 @@ def one_dim_walk(a: float, b: float, n_sites: int, steps: int,
     psi_{n+1}(j) = a [psi_n(j-1) + psi_n(j+1)] - psi_{n-1}(j), which is
     recomputed every step as an internal consistency guard.
     """
-    if abs(a * a + b * b - 1.0) > 1e-12:
+    if not abs(a * a + b * b - 1.0) <= 1e-12:
         raise ValueError("need a^2 + b^2 = 1 for a unitary step")
     if n_sites < 3:
         raise ValueError("need at least 3 sites for an unambiguous ring")
@@ -262,7 +262,7 @@ def one_dim_walk(a: float, b: float, n_sites: int, steps: int,
     r[0] = np.asarray(initial_right, dtype=complex)
     l[0] = np.asarray(initial_left, dtype=complex)
     nrm = np.sqrt(np.sum(np.abs(r[0]) ** 2 + np.abs(l[0]) ** 2))
-    if abs(nrm - 1.0) > 1e-12:
+    if not abs(nrm - 1.0) <= 1e-12:
         raise ValueError(f"initial components must combine to unit norm, got {nrm:.15g}")
     for n in range(1, steps + 1):
         r[n] = a * np.roll(r[n - 1], 1) + 1j * b * np.roll(l[n - 1], -1)
@@ -271,6 +271,6 @@ def one_dim_walk(a: float, b: float, n_sites: int, steps: int,
             for hist in (r, l):
                 lhs = hist[n] + hist[n - 2]
                 rhs = a * (np.roll(hist[n - 1], 1) + np.roll(hist[n - 1], -1))
-                if np.abs(lhs - rhs).max() > 1e-12:
+                if not np.abs(lhs - rhs).max() <= 1e-12:
                     raise ArithmeticError("three-term recurrence violated; update is inconsistent")
     return ChiralLineResult(r, l)

@@ -199,6 +199,11 @@ def random_connected_graph(rng: np.random.Generator, n_min: int = 2, n_max: int 
 # ---------------------------------------------------------------------------
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class ArcSpace:
     """The 2|E| arcs of a graph in lexicographic order, with index lookups.
@@ -206,8 +211,8 @@ class ArcSpace:
     Arcs sharing an origin are contiguous, ordered by terminus; this makes a
     vertex's block in any arc-indexed matrix a plain slice.  Derived once, as
     read-only arrays: ``origin`` and ``terminus`` of every arc, ``reverse``
-    (the index of (v, u) at the place of (u, v): the flip-flop shift) and
-    ``starts``, where each vertex's origin block begins.
+    (the index of (v, u) at the place of (u, v): the flip-flop shift),
+    ``starts``, where each vertex's origin block begins, and ``degree_blocks``.
     """
 
     graph: Graph
@@ -223,28 +228,33 @@ class ArcSpace:
 
     @cached_property
     def origin(self) -> np.ndarray:
-        origin = np.array([u for u, _ in self.arcs], dtype=np.intp)
-        origin.setflags(write=False)
-        return origin
+        return _read_only(np.array([u for u, _ in self.arcs], dtype=np.intp))
 
     @cached_property
     def terminus(self) -> np.ndarray:
-        terminus = np.array([v for _, v in self.arcs], dtype=np.intp)
-        terminus.setflags(write=False)
-        return terminus
+        return _read_only(np.array([v for _, v in self.arcs], dtype=np.intp))
 
     @cached_property
     def reverse(self) -> np.ndarray:
         # place i of the arcs sorted by (terminus, origin) holds the reverse of arc i
-        reverse = np.lexsort((self.origin, self.terminus))
-        reverse.setflags(write=False)
-        return reverse
+        return _read_only(np.lexsort((self.origin, self.terminus)))
 
     @cached_property
     def starts(self) -> np.ndarray:
-        starts = np.searchsorted(self.origin, self.graph.vertices)
-        starts.setflags(write=False)
-        return starts
+        return _read_only(np.searchsorted(self.origin, self.graph.vertices))
+
+    @cached_property
+    def degree_blocks(self) -> tuple:
+        """One (vertices, arcs) pair per distinct degree d, ascending: the
+        vertices of degree d in vertex order, and their origin blocks as the
+        rows of the (n_d, d) array ``arcs``."""
+        degrees = np.diff(self.starts, append=self.size)
+        groups = []
+        for d in sorted(set(degrees.tolist())):  # np.unique would import numpy.ma
+            vertices = np.flatnonzero(degrees == d)
+            groups.append((_read_only(vertices + 1),
+                           _read_only(self.starts[vertices, None] + np.arange(d))))
+        return tuple(groups)
 
     def index_of(self, arc: Arc) -> int:
         try:
@@ -343,9 +353,8 @@ class Partition:
         if unbalanced.any():
             j = space.arcs[np.argmax(unbalanced)][0]
             raise ValueError(f"successor map is not a bijection at vertex {j}")
-        perm.setflags(write=False)
         object.__setattr__(self, "arc_space", space)
-        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "perm", _read_only(perm))
 
     @classmethod
     def from_successors(cls, graph: Graph, successors: dict) -> "Partition":

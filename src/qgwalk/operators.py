@@ -11,9 +11,9 @@ Within the block of origin vertex j, local coordinates follow the ascending
 neighbour order of j.
 
 A walk is stored as the shift's arc permutation (the partition's ``perm``)
-plus the per-vertex coin blocks.  ``EvolutionOperator.apply`` steps a state
-from those alone; ``EvolutionOperator.matrix`` is a cached dense view of the
-same data, which dynamics never builds.  Neither part depends on the type, so
+plus the coin blocks, one stack per degree.  ``EvolutionOperator.apply``
+steps a state from those alone; ``EvolutionOperator.matrix`` is a cached
+dense view of the same data, which dynamics never builds.  Neither part depends on the type, so
 ``with_kind`` gives a walk's other type without rebuilding it.  Each residual
 below takes the walk it checks, of either type, and returns the
 spectral-norm defect of an exact identity on the dense views: zero in exact
@@ -33,10 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
-from .graphs import ArcSpace, Graph, Partition, flip_flop_partition
+from .graphs import (ArcSpace, Graph, Partition, _read_only, build_arc_space,
+                     flip_flop_partition)
 
 __all__ = [
     "CoinSet",
@@ -124,23 +126,46 @@ def unitarity_defect(m: np.ndarray) -> float:
     return operator_norm(m.conj().T @ m - np.eye(m.shape[0]))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CoinSet:
-    """One unitary block per vertex, sized by that vertex's degree."""
+    """One unitary block per vertex, sized by that vertex's degree.
 
-    blocks: dict
+    Stored as ``stacks``, one read-only (vertices, blocks) pair per block
+    shape, ascending, vertices in vertex order: a set valid on a graph pairs
+    stack for stack with its ``ArcSpace.degree_blocks``.
+    """
 
-    def __post_init__(self):
-        clean = {int(v): np.array(h, dtype=complex) for v, h in self.blocks.items()}
-        for h in clean.values():
-            h.setflags(write=False)
-        object.__setattr__(self, "blocks", clean)
+    stacks: tuple
+
+    def __init__(self, blocks: dict):
+        """Group {vertex: block}, keys read with ``int``, blocks copied as complex."""
+        clean = {int(v): np.asarray(h) for v, h in blocks.items()}
+        by_shape: dict[tuple, list[int]] = {}
+        for v in sorted(clean):
+            by_shape.setdefault(clean[v].shape, []).append(v)
+        object.__setattr__(self, "stacks", CoinSet.from_stacks(
+            (np.array(vs), np.array([clean[v] for v in vs], dtype=complex))
+            for _, vs in sorted(by_shape.items())).stacks)
+
+    @classmethod
+    def from_stacks(cls, stacks) -> "CoinSet":
+        """A coin set from (vertices, blocks) pairs grouped as ``stacks`` holds them."""
+        coins = cls.__new__(cls)
+        object.__setattr__(coins, "stacks", tuple(
+            (_read_only(vs), _read_only(np.ascontiguousarray(hs, dtype=complex)))
+            for vs, hs in stacks))
+        return coins
+
+    @cached_property
+    def blocks(self) -> MappingProxyType:
+        """{vertex: block} in vertex order, read-only, each a view of its stack."""
+        views = {v: h for vertices, hs in self.stacks for v, h in zip(vertices.tolist(), hs)}
+        return MappingProxyType(dict(sorted(views.items())))  # keys are distinct: no block compared
 
     def validate(self, g: Graph) -> None:
-        if set(self.blocks) != set(g.vertices):
+        if self.blocks.keys() != set(g.vertices):
             raise ValueError("coin set must assign one block to every vertex")
-        for v in g.vertices:
-            h = self.blocks[v]
+        for v, h in self.blocks.items():
             d = g.degree(v)
             if h.shape != (d, d):
                 raise ValueError(f"coin at vertex {v} has shape {h.shape}, expected {(d, d)}")
@@ -152,10 +177,10 @@ class CoinSet:
         return self.blocks[v]
 
     def dagger(self) -> "CoinSet":
-        return CoinSet({v: h.conj().T for v, h in self.blocks.items()})
+        return CoinSet.from_stacks((vs, hs.conj().swapaxes(1, 2)) for vs, hs in self.stacks)
 
     def inverse(self) -> "CoinSet":
-        return CoinSet({v: np.linalg.inv(h) for v, h in self.blocks.items()})
+        return CoinSet.from_stacks((vs, np.linalg.inv(hs)) for vs, hs in self.stacks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,26 +218,16 @@ class EvolutionOperator:
         """One (rows, cols, blocks) triple per distinct vertex degree d.
 
         U[rows[v, a], cols[v, b]] = blocks[v, a, b] gives every nonzero of U.
-        ``rows`` and ``cols`` have shape (n_d, d), one line per vertex of
-        degree d.  G-type (U = C S) reads each origin block at the arcs the
-        shift moves into it; A-type (U = S C) writes it where the shift moves
-        it to.
+        ``blocks`` is the coins' stack of degree d, and ``rows`` and ``cols``
+        have shape (n_d, d).  G-type (U = C S) reads each origin block at the
+        arcs the shift moves into it; A-type (U = S C) writes it where the
+        shift moves it to.
         """
-        g = self.space.graph
-        by_degree: dict[int, list[int]] = {}
-        for v in g.vertices:
-            by_degree.setdefault(g.degree(v), []).append(v)
         inv = np.empty_like(self.perm)
         inv[self.perm] = np.arange(self.perm.size)
-        groups = []
-        for d, vs in sorted(by_degree.items()):
-            block_arcs = self.space.starts[np.subtract(vs, 1), None] + np.arange(d)
-            blocks = np.stack([self.coins.block(v) for v in vs])
-            if self.kind == "G":
-                groups.append((block_arcs, inv[block_arcs], blocks))
-            else:
-                groups.append((self.perm[block_arcs], block_arcs, blocks))
-        return tuple(groups)
+        return tuple((arcs, inv[arcs], blocks) if self.kind == "G"
+                     else (self.perm[arcs], arcs, blocks)
+                     for (_, arcs), (_, blocks) in zip(self.space.degree_blocks, self.coins.stacks))
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """One step, U @ amps, as a gather and one batched product per degree."""
@@ -230,8 +245,7 @@ class EvolutionOperator:
         u = np.zeros((self.size, self.size), dtype=complex)
         for rows, cols, blocks in self._degree_groups:
             u[rows[:, :, None], cols[:, None, :]] = blocks
-        u.setflags(write=False)
-        return u
+        return _read_only(u)
 
 
 def shift_operator(space: ArcSpace, p: Partition) -> np.ndarray:
@@ -249,11 +263,9 @@ def shift_operator(space: ArcSpace, p: Partition) -> np.ndarray:
 def coin_operator(space: ArcSpace, coins: CoinSet) -> np.ndarray:
     """Block-diagonal coin; the block of vertex j occupies its origin slice."""
     coins.validate(space.graph)
-    n = space.size
-    c = np.zeros((n, n), dtype=complex)
-    for v, start in zip(space.graph.vertices, space.starts.tolist()):
-        sl = slice(start, start + space.graph.degree(v))
-        c[sl, sl] = coins.block(v)
+    c = np.zeros((space.size, space.size), dtype=complex)
+    for (_, arcs), (_, blocks) in zip(space.degree_blocks, coins.stacks):
+        c[arcs[:, :, None], arcs[:, None, :]] = blocks
     return c
 
 
@@ -276,29 +288,25 @@ def random_unitary_coins(g: Graph, rng: np.random.Generator) -> CoinSet:
     """Independent Haar-distributed unitary coin at every vertex.
 
     Each vertex draws a complex Gaussian matrix in vertex order (real part,
-    then imaginary part); the vertices of one degree then share a stacked QR,
-    whose R diagonal phases are divided out of Q's columns.
+    then imaginary part) into its degree's stack; each stack then takes one
+    QR, whose R diagonal phases are divided out of Q's columns.
     """
-    by_degree: dict[int, list] = {}
-    for v in g.vertices:
-        by_degree.setdefault(g.degree(v), []).append(v)
-    slot = {v: i for vs in by_degree.values() for i, v in enumerate(vs)}
+    groups = build_arc_space(g).degree_blocks
     # each draw goes straight into its degree's stack, which is then scaled and
     # phase-fixed in place: per-vertex draws kept alive until the QR, or
     # out-of-place temporaries, fragmented the heap and raised the peak RSS
-    stacks = {d: np.empty((len(vs), d, d), dtype=complex) for d, vs in by_degree.items()}
+    stacks = [np.empty((len(vs), arcs.shape[1], arcs.shape[1]), dtype=complex)
+              for vs, arcs in groups]
+    rows = {z.shape[1]: iter(z) for z in stacks}  # the next free row of each degree's stack
     for v in g.vertices:
         d = g.degree(v)
-        stacks[d][slot[v]] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    blocks = {}
-    for d, vs in by_degree.items():
-        z = stacks[d]
+        next(rows[d])[...] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    for z in stacks:
         z /= np.sqrt(2.0)
         q, r = np.linalg.qr(z)
         diag = np.diagonal(r, axis1=1, axis2=2)
-        q *= (diag.conj() / np.abs(diag))[:, None, :]
-        blocks.update(zip(vs, q))
-    return CoinSet({v: blocks[v] for v in g.vertices})
+        np.multiply(q, (diag.conj() / np.abs(diag))[:, None, :], out=z)
+    return CoinSet.from_stacks(zip((vs for vs, _ in groups), stacks))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +330,8 @@ def inverse_walk_residual(space: ArcSpace, coins: CoinSet) -> float:
     """
     p = flip_flop_partition(space.graph)
     ug = evolution(space, p, coins, "G")
-    ua_dag = evolution(space, p, coins.dagger(), "A")
+    # H^dag is unitary exactly when the H just validated is
+    ua_dag = replace(ug, kind="A", coins=coins.dagger())
     # the uncached twins go first, so two dense walks at most are alive at once
     r_a = operator_norm(np.linalg.inv(ug.with_kind("A").matrix) - ua_dag.with_kind("G").matrix)
     return max(operator_norm(np.linalg.inv(ug.matrix) - ua_dag.matrix), r_a)
@@ -333,10 +342,12 @@ def _permuted_coins(base: Partition, target: Partition, coins: CoinSet) -> CoinS
     ``cols[base.perm] = target.perm``, column local(c) of K_j is local(cols[c]) of H_j."""
     if base.graph != target.graph:
         raise ValueError("partitions belong to different graphs")
-    g, space, cols = base.graph, base.arc_space, np.empty_like(base.perm)
+    space, cols = base.arc_space, np.empty_like(base.perm)
     cols[base.perm] = target.perm
     local = cols - space.starts[space.origin - 1]
-    return CoinSet({j: coins.block(j)[:, local[space.origin_slice(j)]] for j in g.vertices})
+    return CoinSet.from_stacks(
+        (vertices, np.take_along_axis(blocks, local[arcs][:, None, :], axis=2))
+        for (vertices, arcs), (_, blocks) in zip(space.degree_blocks, coins.stacks))
 
 
 def partition_change_residual(space: ArcSpace, p: Partition, p2: Partition, coins: CoinSet) -> float:

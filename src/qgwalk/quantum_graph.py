@@ -156,15 +156,16 @@ def _golden_minimize(f, lo: float, hi: float, xtol: float) -> tuple[float, float
 # Largest scan grid: every point is a dense SVD and determinant, so a grid
 # past this is a mistyped window or density, not a scan that could finish.
 MAX_GRID_POINTS = 10**6
+BRACKET_THRESHOLD = 0.1  # a grid minimum of the indicator under this is refined
 
 
 def scan_roots(g: Graph, q: QuantumGraphParams, k_min: float, k_max: float,
                grid_points: int | None = None, refine_tol: float = 1e-10,
-               root_tol: float = 1e-9, bracket_threshold: float = 0.1) -> SecularScan:
+               root_tol: float = 1e-9) -> SecularScan:
     """Locate wavenumbers where U(k) has a unit eigenvalue.
 
     Sweeps the indicator on a uniform grid (default 2000 points per unit of
-    k), refines every local minimum under ``bracket_threshold`` by golden
+    k), refines every local minimum under ``BRACKET_THRESHOLD`` by golden
     section to ``refine_tol``, and accepts a root when the refined indicator
     is at most ``root_tol``.  Multiplicity counts singular values of
     I - U(k) below 1e-8.  A grid over ``MAX_GRID_POINTS`` points, given or
@@ -205,7 +206,7 @@ def scan_roots(g: Graph, q: QuantumGraphParams, k_min: float, k_max: float,
     # local minima under the threshold, bracketed by their grid neighbours
     left_ok = np.r_[True, indicators[1:] <= indicators[:-1]]
     right_ok = np.r_[indicators[:-1] <= indicators[1:], True]
-    minima = np.flatnonzero(~(indicators >= bracket_threshold) & left_ok & right_ok)
+    minima = np.flatnonzero(~(indicators >= BRACKET_THRESHOLD) & left_ok & right_ok)
     candidates = zip(ks[np.maximum(minima - 1, 0)], ks[np.minimum(minima + 1, grid_points - 1)])
 
     found = []

@@ -326,6 +326,12 @@ def bowtie_graph() -> Graph:
     return Graph.from_edges(4, BOWTIE_EDGES)
 
 
+def mixed_degree_graph() -> Graph:
+    """Nine vertices of degrees 5, 2, 3, 3, 2, 2, 2, 2, 1, in vertex order."""
+    return Graph.from_edges(9, [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (3, 4),
+                                (4, 7), (5, 8), (6, 9), (7, 8)])
+
+
 def arc_order_graphs() -> list[Graph]:
     """A star, the bowtie, K6 and seeded random graphs, for checks of arc order."""
     rng = np.random.default_rng(808)

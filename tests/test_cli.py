@@ -462,6 +462,31 @@ def test_negative_or_nan_eigenfunction_root_tol_is_a_config_error(tmp_path, caps
     assert not (tmp_path / "boundary.csv").exists()
 
 
+def test_nan_amplitude_is_a_config_error(tmp_path, capsys):
+    # json reads a bare NaN token, and a NaN norm is not within any tolerance of 1
+    config = dict(EVOLVE_CONFIG, evolve={"steps": 3, "initial": {"amplitudes": {"1,2": math.nan}}})
+    assert run(tmp_path, config, "evolve") == 2
+    assert capsys.readouterr().err == "error: arc amplitude map must have unit norm, got nan\n"
+    assert not (tmp_path / "distribution.csv").exists()
+
+
+def test_nan_projector_weight_names_its_vertex(tmp_path, capsys):
+    weights = {str(v): [math.nan if v == 3 else 1.0, 0.0] for v in range(1, 5)}
+    config = {"graph": {"family": "cycle", "n": 4}, "quantum_graph": {"lengths": 1.0},
+              "walk": {"coins": {"family": "projector", "k": 1.0, "weights": weights}},
+              "evolve": {"steps": 3}}
+    assert run(tmp_path, config, "evolve") == 2
+    assert capsys.readouterr().err == "error: weight vector at 3 is not unit (norm nan)\n"
+    assert not (tmp_path / "distribution.csv").exists()
+
+
+def test_scan_bracket_threshold_is_an_unknown_key(tmp_path, capsys):
+    config = dict(REFINE_CONFIG, scan=dict(REFINE_CONFIG["scan"], bracket_threshold=0.1))
+    assert run(tmp_path, config, "qg-scan") == 2
+    assert "'bracket_threshold'" in capsys.readouterr().err
+    assert not (tmp_path / "roots.csv").exists()
+
+
 @pytest.mark.parametrize("command,config", [
     ("verify", VERIFY_CONFIG), ("szegedy", SZEGEDY_CONFIG), ("qg-eigenfunction", EIGEN_CONFIG),
 ])
@@ -516,14 +541,15 @@ def test_negative_verify_steps_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,config,validations", [
-    ("evolve", EVOLVE_CONFIG, 1), ("verify", VERIFY_CONFIG, 7),
+    ("evolve", EVOLVE_CONFIG, 1), ("verify", VERIFY_CONFIG, 6),
     ("szegedy", SZEGEDY_CONFIG, 1), ("qg-eigenfunction", EIGEN_CONFIG, 2),
 ])
 def test_each_command_validates_each_walk_once(tmp_path, command, config, validations):
     """A walk's other type shares its validated coins, so it is never validated again.
 
-    verify: its walk, two flip-flop inversion walks, two partition-change
-    walks and one flip-flop reduction per type; szegedy: the walk it lifts
+    verify: its walk, the flip-flop inversion walk with H, whose blocks the
+    walk with H^dag shares daggered, two partition-change walks and one
+    flip-flop reduction per type; szegedy: the walk it lifts
     and diagonalizes; qg-eigenfunction: U(k) for the stationary vector, then
     the walk with C(k), whose blocks the walk with C(k)^dag shares daggered.
     """

@@ -220,6 +220,32 @@ def test_probability_history_stops_mid_chunk_at_the_drifting_step():
     assert np.array_equal(rows, np.eye(bad, g.vertex_count))
 
 
+def test_nan_fails_every_norm_check():
+    # each check is written so that NaN, which compares false to everything, fails it
+    g = cycle_graph(6)
+    space = build_arc_space(g)
+    with pytest.raises(ValueError, match="^state norm nan is not 1 within 1e-9$"):
+        dynamics.WalkState(space, np.full(space.size, math.nan))
+    with pytest.raises(ValueError, match="^arc amplitude map must have unit norm, got nan$"):
+        from_arc_amplitudes(space, {(1, 2): math.nan})
+    with pytest.raises(ValueError, match="^local state at vertex 2 must have unit norm"):
+        local_state(space, 2, np.array([math.nan, 0.0]))
+    with pytest.raises(ValueError, match=r"^need a\^2 \+ b\^2 = 1"):
+        one_dim_walk(math.nan, 0.0, 5, 2, np.eye(5)[0], np.zeros(5))
+    with pytest.raises(ValueError, match="^initial components must combine to unit norm"):
+        one_dim_walk(1.0, 0.0, 5, 2, np.full(5, math.nan), np.zeros(5))
+    # NaN times a zero amplitude is NaN, so the NaN coin spoils the first step
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    coins = CoinSet({v: (math.nan if v == 3 else 1.0) * swap for v in g.vertices})
+    op = EvolutionOperator("G", flip_flop_partition(g), coins)
+    with pytest.raises(ArithmeticError, match="^norm drifted by nan over 3 steps$"):
+        evolve(op, point_mass(space, (1, 2)), 3)
+    rows = []
+    with pytest.raises(ArithmeticError, match="^norm drifted by nan over 1 steps$"):
+        rows.extend(probability_history(op, point_mass(space, (1, 2)), 3))
+    assert np.array_equal(rows, np.eye(1, g.vertex_count))
+
+
 # ---------------------------------------------------------------------------
 # path-sum cross-check
 # ---------------------------------------------------------------------------

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from helpers import C4_P1, C4_P3, arc_order_graphs, bowtie_graph, c4_graph, coin_families
+from helpers import (
+    C4_P1,
+    C4_P3,
+    arc_order_graphs,
+    bowtie_graph,
+    c4_graph,
+    coin_families,
+    mixed_degree_graph,
+)
 from qgwalk import (
     CoinSet,
     Graph,
@@ -113,6 +121,101 @@ def test_coin_set_validation():
     blocks[2] = 2.0 * np.eye(2, dtype=complex)
     with pytest.raises(ValueError):
         CoinSet(blocks).validate(g)  # not unitary
+
+
+def _mixed_blocks(g, seed):
+    coins = random_unitary_coins(g, np.random.default_rng(seed))
+    return {v: np.array(coins.block(v)) for v in g.vertices}
+
+
+@pytest.mark.parametrize("edit,message", [
+    # the whole vertex set is checked before any block
+    ({10: np.eye(1)}, "coin set must assign one block to every vertex"),
+    ({7: None, 3: 2.0 * np.eye(3)}, "coin set must assign one block to every vertex"),
+    # then each vertex in vertex order: its shape, then its unitarity
+    ({6: np.eye(3)}, "coin at vertex 6 has shape (3, 3), expected (2, 2)"),
+    ({4: np.eye(2), 9: np.eye(2)}, "coin at vertex 4 has shape (2, 2), expected (3, 3)"),
+    ({2: np.ones((2, 3))}, "coin at vertex 2 has shape (2, 3), expected (2, 2)"),
+    ({9: np.array([1.0])}, "coin at vertex 9 has shape (1,), expected (1, 1)"),
+    ({8: 2.0 * np.eye(2)}, "coin at vertex 8 is not unitary (defect 3.000e+00)"),
+    ({3: 2.0 * np.eye(3), 5: np.eye(3)}, "coin at vertex 3 is not unitary (defect 3.000e+00)"),
+    ({5: 2.0 * np.eye(2), 8: np.eye(3)}, "coin at vertex 5 is not unitary (defect 3.000e+00)"),
+    ({2: np.eye(3), 7: 2.0 * np.eye(2)}, "coin at vertex 2 has shape (3, 3), expected (2, 2)"),
+])
+def test_validate_names_the_first_offender_in_vertex_order(edit, message):
+    g = mixed_degree_graph()
+    blocks = _mixed_blocks(g, 71)
+    for v, h in edit.items():
+        if h is None:
+            del blocks[v]
+        else:
+            blocks[v] = h
+    with pytest.raises(ValueError) as info:
+        CoinSet(blocks).validate(g)
+    assert str(info.value) == message
+
+
+def test_coin_set_from_a_dict_groups_copies_and_freezes():
+    g = mixed_degree_graph()
+    blocks = _mixed_blocks(g, 72)
+    ref = CoinSet(blocks)
+    shuffled = CoinSet({np.int64(v): blocks[v].tolist() for v in reversed(g.vertices)})
+    by_string = CoinSet({str(v): blocks[v] for v in (4, 9, 1, 7, 2, 8, 3, 6, 5)})
+    for coins in (ref, shuffled, by_string):
+        coins.validate(g)
+        assert list(coins.blocks) == list(g.vertices)
+        assert all(type(v) is int for v in coins.blocks)
+        for (vs, hs), (degree_vs, arcs) in zip(coins.stacks, build_arc_space(g).degree_blocks,
+                                               strict=True):
+            d = arcs.shape[1]
+            assert np.array_equal(vs, degree_vs) and hs.shape == (len(vs), d, d)
+            assert hs.dtype == complex and not vs.flags.writeable and not hs.flags.writeable
+        for v in g.vertices:
+            assert np.array_equal(coins.block(v), blocks[v])
+            assert not coins.block(v).flags.writeable
+    blocks[1][0, 0] = 7.0  # the set holds a copy
+    assert ref.block(1)[0, 0] != 7.0
+    with pytest.raises(ValueError, match="read-only"):
+        ref.block(2)[0, 0] = 0.0
+    with pytest.raises(TypeError):
+        ref.blocks[2] = np.eye(2)
+    with pytest.raises(AttributeError):
+        ref.stacks = ()
+    assert ref != CoinSet(blocks) and ref == ref  # equality is identity
+
+
+def test_stacked_transforms_equal_the_per_vertex_formulas():
+    rng = np.random.default_rng(73)
+    for g in (mixed_degree_graph(), *arc_order_graphs()):
+        space = build_arc_space(g)
+        base, target = random_partition(g, rng), random_partition(g, rng)
+        cols = np.empty_like(base.perm)
+        cols[base.perm] = target.perm
+        local = cols - space.starts[space.origin - 1]
+        for coins in coin_families(g, rng).values():
+            dagger, inverse = coins.dagger(), coins.inverse()
+            permuted = _permuted_coins(base, target, coins)
+            for v in g.vertices:
+                h = coins.block(v)
+                assert np.array_equal(dagger.block(v), h.conj().T)
+                assert np.array_equal(inverse.block(v), np.linalg.inv(h))
+                assert np.array_equal(permuted.block(v), h[:, local[space.origin_slice(v)]])
+
+
+def test_degree_blocks_agree_with_degree_and_origin_slice():
+    for g in (mixed_degree_graph(), c4_graph(), *arc_order_graphs()):
+        space = build_arc_space(g)
+        groups = space.degree_blocks
+        assert groups is space.degree_blocks  # built once
+        degrees = [arcs.shape[1] for _, arcs in groups]
+        assert degrees == sorted(set(g.degree(v) for v in g.vertices))
+        assert sorted(v for vs, _ in groups for v in vs.tolist()) == list(g.vertices)
+        for vs, arcs in groups:
+            assert not vs.flags.writeable and not arcs.flags.writeable
+            assert list(vs) == sorted(vs) and len(arcs) == len(vs)
+            for v, row in zip(vs.tolist(), arcs.tolist()):
+                sl = space.origin_slice(v)
+                assert g.degree(v) == len(row) and row == list(range(sl.start, sl.stop))
 
 
 def test_dagger_inverse_agree_for_unitary_coins():

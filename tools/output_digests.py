@@ -13,7 +13,12 @@ checkout's, so two checkouts get the same inputs.  The jobs are:
   ``SEED``, the benchmark's held-out seed (``perfbench/README.md``);
 * one ``qg-eigenfunction`` per root of each ``roots.csv`` written above,
   configured by ``perfbench/worker.eigenfunction_job``;
-* ``partitions`` on K4.
+* ``partitions`` on K4;
+* on a 9-vertex graph with every degree from 1 to 5, ``evolve`` once per
+  coin family (``identity``, ``grover``, ``random``, ``szegedy``,
+  ``quantum-graph`` with a Dirichlet vertex, ``projector`` with non-uniform
+  weights, ``explicit``) and ``verify`` with random coins, so that coins of
+  several sizes in one set are hashed on every route.
 
 It prints one line per output file, ``sha256 exit-code relative-path``,
 sorted by path; a job that writes no file prints ``- exit-code job-dir/``.
@@ -28,8 +33,10 @@ same code and writes the same bytes, so a refactor is checked with one diff:
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -47,6 +54,57 @@ from workloads import WORKLOADS, generate  # noqa: E402
 
 SEED = 90317
 K4_PARTITIONS = {"graph": {"family": "complete", "n": 4}, "partitions": {}}
+# degrees 5, 2, 3, 3, 2, 2, 2, 2, 1 in vertex order
+MIXED_GRAPH = {"vertices": 9, "edges": [[1, 2], [1, 3], [1, 4], [1, 5], [1, 6], [2, 3], [3, 4],
+                                        [4, 7], [5, 8], [6, 9], [7, 8]]}
+
+
+def _degrees(graph: dict) -> list:
+    return [sum(v in e for e in graph["edges"]) for v in range(1, graph["vertices"] + 1)]
+
+
+def _pair(z: complex) -> list:
+    return [z.real, z.imag]
+
+
+def mixed_degree_jobs() -> list:
+    """(name, command, config) for the jobs on ``MIXED_GRAPH``."""
+    degrees = _degrees(MIXED_GRAPH)
+    edges = list(enumerate(MIXED_GRAPH["edges"]))
+    qg = {"lengths": {f"{u},{v}": 0.5 + 0.1 * i for i, (u, v) in edges},
+          "lambdas": {str(v): ("dirichlet" if v == 9 else 0.3 * (v % 3))
+                      for v in range(1, len(degrees) + 1)},
+          "potentials": {f"{v},{u}": 0.25 * (i % 3) for i, (u, v) in edges}}
+    # a unit weight vector with distinct moduli and phases at each vertex
+    weights = {}
+    for v, d in enumerate(degrees, start=1):
+        w = [(m + 1) * cmath.exp(0.7j * m * v) for m in range(d)]
+        nrm = math.sqrt(sum(abs(x) ** 2 for x in w))
+        weights[str(v)] = [_pair(x / nrm) for x in w]
+    # the discrete Fourier matrix of each degree, rows rotated by the vertex label
+    blocks = {str(v): [[_pair(cmath.exp(2j * math.pi * ((r + v) % d) * c / d) / math.sqrt(d))
+                        for c in range(d)] for r in range(d)]
+              for v, d in enumerate(degrees, start=1)}
+    families = {
+        "identity": {"family": "identity"},
+        "grover": {"family": "grover"},
+        "random": {"family": "random", "seed": 11},
+        "szegedy": {"family": "szegedy", "transition": {"random_seed": 5}},
+        "quantum-graph": {"family": "quantum-graph", "k": 2.3},
+        "projector": {"family": "projector", "k": 1.7, "weights": weights},
+        "explicit": {"family": "explicit", "blocks": blocks},
+    }
+    jobs = []
+    for i, (family, coins) in enumerate(families.items()):
+        walk = {"kind": "GA"[i % 2], "partition": {"random_seed": 3 + i}, "coins": coins}
+        jobs.append((f"evolve-{family}", "evolve",
+                     {"graph": MIXED_GRAPH, "quantum_graph": qg, "walk": walk,
+                      "evolve": {"steps": 12, "initial": {"arc": [1, 2]}}}))
+    jobs.append(("verify-random", "verify",
+                 {"graph": MIXED_GRAPH, "verify": {"steps": 3},
+                  "walk": {"partition": {"random_seed": 4},
+                           "coins": {"family": "random", "seed": 7}}}))
+    return jobs
 
 
 def _sha256(path: str) -> str:
@@ -130,6 +188,8 @@ def main() -> int:
                     runner.run(f"bench/{job['id']}", job["command"], path)
         k4 = runner.config_path("partitions-k4", K4_PARTITIONS)
         runner.run("partitions-k4", "partitions", k4)
+        for name, command, config in mixed_degree_jobs():
+            runner.run(f"mixed/{name}", command, runner.config_path(f"mixed-{name}", config))
         print("\n".join(runner.listing()))
     return 0
 
