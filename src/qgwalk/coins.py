@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -206,6 +207,14 @@ class VertexWeights:
 
     def vector(self, v: int) -> np.ndarray:
         return self.vectors[v]
+
+    @cached_property
+    def arc_vector(self) -> np.ndarray:
+        """The vectors concatenated in vertex order, read-only: the entry of arc
+        (j, m) of the graph's arc space is the weight of m at j."""
+        vec = np.concatenate([self.vectors[v] for v in self.graph.vertices])
+        vec.setflags(write=False)
+        return vec
 
 
 # ---------------------------------------------------------------------------

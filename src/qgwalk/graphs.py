@@ -7,8 +7,9 @@ first use and shared, while anything holds it, by every partition, walk and
 parameter set of that graph.  A partition decomposes the line digraph's
 vertex set (which is the arc set) into disjoint cycles with pairwise-distinct
 members; equivalently it fixes, at each vertex, a bijection between incoming
-and outgoing arcs.  Read as a permutation of the arc space, derived and
-validated once (``Partition.perm``), it is the walk's shift.  The number of
+and outgoing arcs.  It is stored as the permutation of the arc space these
+make, validated once (``Partition.perm``): the walk's shift.  A successor map
+is only input (``from_successors``) and a derived view.  The number of
 partitions is the product of the factorials of the vertex degrees.
 
 All containers are frozen after construction and safe to share across
@@ -24,6 +25,7 @@ import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -212,7 +214,8 @@ class ArcSpace:
     vertex's block in any arc-indexed matrix a plain slice.  Derived once, as
     read-only arrays: ``origin`` and ``terminus`` of every arc, ``reverse``
     (the index of (v, u) at the place of (u, v): the flip-flop shift),
-    ``starts``, where each vertex's origin block begins, and ``degree_blocks``.
+    ``starts``, where each vertex's origin block begins, ``degrees`` and
+    ``degree_blocks``.
     """
 
     graph: Graph
@@ -244,11 +247,16 @@ class ArcSpace:
         return _read_only(np.searchsorted(self.origin, self.graph.vertices))
 
     @cached_property
+    def degrees(self) -> np.ndarray:
+        """Every vertex's degree, in vertex order: the length of its origin block."""
+        return _read_only(np.diff(self.starts, append=self.size))
+
+    @cached_property
     def degree_blocks(self) -> tuple:
         """One (vertices, arcs) pair per distinct degree d, ascending: the
         vertices of degree d in vertex order, and their origin blocks as the
         rows of the (n_d, d) array ``arcs``."""
-        degrees = np.diff(self.starts, append=self.size)
+        degrees = self.degrees
         groups = []
         for d in sorted(set(degrees.tolist())):  # np.unique would import numpy.ma
             vertices = np.flatnonzero(degrees == d)
@@ -316,28 +324,58 @@ def line_digraph(g: Graph) -> LineDigraph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
     """Decomposition of the arc set into disjoint cycles of the line digraph.
 
-    ``successors`` maps each arc (i, j) to the vertex f(i, j) such that
-    ((i, j), (j, f(i, j))) lies on one of the cycles.  At every vertex j the
-    map i -> f(i, j) is a bijection of the neighbourhood of j onto itself.
-    It is the only stored input; derived from it once are the read-only
-    ``arc_space`` (the graph's) and ``perm``, the shift as a permutation of
-    that space (``perm[c]`` is the index of (j, f(i, j)) for arc c = (i, j)),
-    and ``cycles``, its orbits in canonical order (each cycle starts at its
-    smallest arc, cycles sorted by first arc).  Construct through
-    :meth:`from_successors` or :meth:`from_cycles`.
+    At every vertex j a bijection i -> f(i, j) of the neighbourhood of j
+    fixes the cycles: ((i, j), (j, f(i, j))) lies on one of them.  Stored as
+    ``perm``, the shift as a read-only permutation of the graph's
+    ``arc_space``: ``perm[c]`` is the index of (j, f(i, j)) for arc c = (i, j).
+    Derived from it on first use are ``successors``, the map (i, j) -> f(i, j)
+    in arc order, ``inverse``, and ``cycles``, the orbits of ``perm`` in
+    canonical order (each cycle starts at its smallest arc, cycles sorted by
+    first arc).  Two partitions are equal when their graphs and perms are.
+    A successor map enters through :meth:`from_successors` or
+    :meth:`from_cycles`.
     """
 
     graph: Graph
-    successors: dict
-    arc_space: ArcSpace = field(init=False, repr=False, compare=False)
-    perm: np.ndarray = field(init=False, repr=False, compare=False)
+    perm: np.ndarray
+    arc_space: ArcSpace = field(init=False, repr=False)
 
     def __post_init__(self):
-        space, succ = build_arc_space(self.graph), self.successors
+        space = build_arc_space(self.graph)
+        # a copy, of integers: a float perm raises rather than being truncated
+        perm, n = _read_only(np.asarray(self.perm).astype(np.intp, casting="same_kind")), space.size
+        if perm.shape != (n,):
+            raise ValueError(f"perm has shape {perm.shape}, expected ({n},)")
+        outside = (perm < 0) | (perm >= n)
+        if outside.any():
+            c = np.argmax(outside)
+            raise ValueError(f"perm sends {space.arcs[c]} to {perm[c]}, not in 0..{n - 1}")
+        astray = space.origin[perm] != space.terminus
+        if astray.any():
+            c = np.argmax(astray)
+            raise ValueError(f"perm sends {space.arcs[c]} to {space.arcs[perm[c]]}, "
+                             f"which does not leave {space.terminus[c]}")
+        # the arcs into j go to j's origin block; one of them hit twice leaves another unhit
+        unbalanced = np.bincount(perm, minlength=n) != 1
+        if unbalanced.any():
+            raise ValueError(f"successor map is not a bijection at vertex "
+                             f"{space.origin[np.argmax(unbalanced)]}")
+        object.__setattr__(self, "arc_space", space)
+        object.__setattr__(self, "perm", perm)
+
+    def __eq__(self, other):
+        return (isinstance(other, Partition) and self.graph == other.graph
+                and np.array_equal(self.perm, other.perm))
+
+    @classmethod
+    def from_successors(cls, graph: Graph, successors: dict) -> "Partition":
+        """From a map (i, j) -> f(i, j) over every arc, keys and values read with ``int``."""
+        space = build_arc_space(graph)
+        succ = {(int(a[0]), int(a[1])): int(m) for a, m in successors.items()}
         missing = sorted(space._index.keys() - succ.keys())
         if missing:
             raise ValueError(f"successor map missing arcs, e.g. {missing[0]}")
@@ -348,17 +386,7 @@ class Partition:
         if (perm < 0).any():
             i, j = space.arcs[np.argmax(perm < 0)]
             raise ValueError(f"successor of {(i, j)} is {succ[(i, j)]}, not a neighbour of {j}")
-        # the arcs into j go to j's origin block; one of them hit twice leaves another unhit
-        unbalanced = np.bincount(perm, minlength=space.size) != 1
-        if unbalanced.any():
-            j = space.arcs[np.argmax(unbalanced)][0]
-            raise ValueError(f"successor map is not a bijection at vertex {j}")
-        object.__setattr__(self, "arc_space", space)
-        object.__setattr__(self, "perm", _read_only(perm))
-
-    @classmethod
-    def from_successors(cls, graph: Graph, successors: dict) -> "Partition":
-        return cls(graph, {(int(a[0]), int(a[1])): int(m) for a, m in successors.items()})
+        return cls(graph, perm)
 
     @classmethod
     def from_cycles(cls, graph: Graph, cycles) -> "Partition":
@@ -377,20 +405,31 @@ class Partition:
         return cls.from_successors(graph, succ)
 
     @cached_property
+    def successors(self) -> MappingProxyType:
+        """{(i, j): f(i, j)} in arc order, read-only."""
+        space = self.arc_space
+        return MappingProxyType(dict(zip(space.arcs, space.terminus[self.perm].tolist())))
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """The inverse permutation (read-only): ``inverse[perm[c]] == c``."""
+        inv = np.empty_like(self.perm)
+        inv[self.perm] = np.arange(self.perm.size)
+        return _read_only(inv)
+
+    @cached_property
     def cycles(self) -> tuple[tuple[Arc, ...], ...]:
-        """The orbits of the arc map (i, j) -> (j, f(i, j)), in canonical order."""
-        seen: set[Arc] = set()
-        cycles = []
-        for a in sorted(self.successors):
-            if a in seen:
-                continue
-            cyc = [a]
-            b = (a[1], self.successors[a])
-            while b != a:
-                cyc.append(b)
-                b = (b[1], self.successors[b])
-            seen.update(cyc)
-            cycles.append(tuple(cyc))
+        """The orbits of ``perm``, in canonical order (arc order is index order)."""
+        arcs, perm = self.arc_space.arcs, self.perm.tolist()
+        seen, cycles = [False] * len(perm), []
+        for first in range(len(perm)):
+            cyc, c = [], first
+            while not seen[c]:
+                seen[c] = True
+                cyc.append(arcs[c])
+                c = perm[c]
+            if cyc:
+                cycles.append(tuple(cyc))
         return tuple(cycles)
 
     def successor(self, i: int, j: int) -> int:
@@ -405,9 +444,16 @@ class Partition:
         return np.array_equal(self.perm, self.arc_space.reverse)
 
 
+def _partition_from_local(g: Graph, local) -> Partition:
+    """The partition sending the arc into j that reverses out-arc s + a to out-arc
+    s + ``local[s + a]``, with s where j's origin block starts: a bijection per vertex."""
+    space = build_arc_space(g)
+    return Partition(g, (space.starts[space.origin - 1] + local)[space.reverse])
+
+
 def flip_flop_partition(g: Graph) -> Partition:
     """The partition of 2-cycles {(u,v), (v,u)}; f(i, j) = i."""
-    return Partition(g, {a: a[0] for u, v in g.edges for a in ((u, v), (v, u))})
+    return Partition(g, build_arc_space(g).reverse)
 
 
 def partition_count(g: Graph) -> int:
@@ -425,28 +471,15 @@ def enumerate_partitions(g: Graph, cap: int = 1_000_000) -> list[Partition]:
     count = partition_count(g)
     if count > cap:
         raise PartitionCapError(count, cap)
-    per_vertex = []
-    for v in g.vertices:
-        nbrs = g.neighbors(v)
-        per_vertex.append([dict(zip(nbrs, perm)) for perm in itertools.permutations(nbrs)])
-    out = []
-    for combo in itertools.product(*per_vertex):
-        succ: dict[Arc, int] = {}
-        for v, table in zip(g.vertices, combo):
-            for i, m in table.items():
-                succ[(i, v)] = m
-        out.append(Partition.from_successors(g, succ))
-    return out
+    per_vertex = [itertools.permutations(range(d)) for d in build_arc_space(g).degrees.tolist()]
+    return [_partition_from_local(g, np.concatenate(combo))
+            for combo in itertools.product(*per_vertex)]
 
 
 def random_partition(g: Graph, rng: np.random.Generator) -> Partition:
-    succ: dict[Arc, int] = {}
-    for v in g.vertices:
-        nbrs = g.neighbors(v)
-        perm = rng.permutation(len(nbrs))
-        for pos, i in enumerate(nbrs):
-            succ[(i, v)] = nbrs[int(perm[pos])]
-    return Partition.from_successors(g, succ)
+    """One uniform bijection per vertex, drawn in vertex order."""
+    draws = [rng.permutation(d) for d in build_arc_space(g).degrees.tolist()]
+    return _partition_from_local(g, np.concatenate(draws))
 
 
 def reverse_partition(p: Partition) -> Partition:
@@ -457,12 +490,9 @@ def reverse_partition(p: Partition) -> Partition:
     per-vertex bijection is an involution (the flip-flop partition is the
     canonical case).
     """
-    g = p.graph
-    rev: dict[Arc, int] = {}
-    for y in g.vertices:
-        for u in g.neighbors(y):
-            rev[(p.successors[(u, y)], y)] = u
-    return Partition.from_successors(g, rev)
+    # p sends (u, y) to (y, f) and its reverse (f, y) to (y, u): p's inverse, arcs reversed
+    reverse = p.arc_space.reverse
+    return Partition(p.graph, reverse[p.inverse[reverse]])
 
 
 @dataclass(frozen=True)

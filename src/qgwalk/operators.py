@@ -165,6 +165,11 @@ class CoinSet:
     def validate(self, g: Graph) -> None:
         if self.blocks.keys() != set(g.vertices):
             raise ValueError("coin set must assign one block to every vertex")
+        # a non-finite block would end in an SVD error that names no vertex
+        if not all(np.isfinite(hs).all() for _, hs in self.stacks):
+            bad = min(v for vs, hs in self.stacks
+                      for v in vs[~np.isfinite(hs).all(axis=tuple(range(1, hs.ndim)))].tolist())
+            raise ValueError(f"coin at vertex {bad} has a non-finite entry")
         for v, h in self.blocks.items():
             d = g.degree(v)
             if h.shape != (d, d):
@@ -223,8 +228,7 @@ class EvolutionOperator:
         arcs the shift moves into it; A-type (U = S C) writes it where the
         shift moves it to.
         """
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(self.perm.size)
+        inv = self.partition.inverse
         return tuple((arcs, inv[arcs], blocks) if self.kind == "G"
                      else (self.perm[arcs], arcs, blocks)
                      for (_, arcs), (_, blocks) in zip(self.space.degree_blocks, self.coins.stacks))
@@ -377,7 +381,7 @@ def a_type_reduction_residual(op: EvolutionOperator) -> float:
     """
     ff = flip_flop_partition(op.space.graph)
     k = _permuted_coins(ff, op.partition, op.coins)
-    inv = np.argsort(op.perm)
+    inv = op.partition.inverse
     rhs = evolution(op.space, ff, k.dagger(), "A").matrix.conj().T[np.ix_(inv, inv)]
     return operator_norm(op.with_kind("A").matrix - rhs)
 

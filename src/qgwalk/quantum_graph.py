@@ -444,10 +444,9 @@ def reduced_secular_determinant(g: Graph, q: QuantumGraphParams, k: float, t: co
         raise PoleProximityError(f"edge {g.edges[near[0]]} factor |1 - t^2 e^(2ikL)| = "
                                  f"{abs(edge_delta[near[0]]):.3e} under guard")
 
-    mu = np.array([0.0 if q.lam(i) == DIRICHLET
-                   else 1.0 + np.exp(-1j * boundary_phase(q.lam(i), g.degree(i), k))
-                   for i in g.vertices])
-    alpha = np.concatenate([weights.vector(i) for i in g.vertices])
+    mu = np.array([0.0 if lam == DIRICHLET else 1.0 + np.exp(-1j * boundary_phase(lam, d, k))
+                   for lam, d in zip(map(q.lam, g.vertices), q.arc_space.degrees.tolist())])
+    alpha = weights.arc_vector
     phase = np.exp(1j * q.arc_lengths * (k + q.arc_potentials))
     big_t = np.zeros((n, n), dtype=complex)
     alpha_rev = alpha[q.arc_space.reverse]  # the weight of arc l -> i at the place of i -> l

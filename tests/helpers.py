@@ -9,6 +9,7 @@ interval/star spectra.
 
 from __future__ import annotations
 
+import itertools
 import math
 from pathlib import Path
 
@@ -337,3 +338,69 @@ def arc_order_graphs() -> list[Graph]:
     rng = np.random.default_rng(808)
     return [star_graph(4), bowtie_graph(), complete_graph(6),
             *(random_connected_graph(rng, 2, 9, 0.4) for _ in range(6))]
+
+
+def partition_order_graph() -> Graph:
+    """Six vertices of degrees 4, 2, 2, 2, 1, 1: 192 partitions, mixed degrees."""
+    return Graph.from_edges(6, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (4, 6)])
+
+
+# ---------------------------------------------------------------------------
+# successor-map references for the partition builders
+# ---------------------------------------------------------------------------
+
+# Each builds the arc-keyed dict {(i, j): f(i, j)} one arc at a time, the way
+# the partition builders once did; the builders now write the arc permutation.
+
+
+def reference_random_successors(g: Graph, rng: np.random.Generator) -> dict:
+    """One ``rng.permutation`` of the neighbour positions per vertex, in vertex order."""
+    succ = {}
+    for v in g.vertices:
+        nbrs = g.neighbors(v)
+        perm = rng.permutation(len(nbrs))
+        for pos, i in enumerate(nbrs):
+            succ[(i, v)] = nbrs[int(perm[pos])]
+    return succ
+
+
+def reference_enumerated_successors(g: Graph) -> list[dict]:
+    """Every successor map: vertices ascending, bijections in lexicographic order."""
+    per_vertex = []
+    for v in g.vertices:
+        nbrs = g.neighbors(v)
+        per_vertex.append([dict(zip(nbrs, perm)) for perm in itertools.permutations(nbrs)])
+    out = []
+    for combo in itertools.product(*per_vertex):
+        succ = {}
+        for v, table in zip(g.vertices, combo):
+            for i, m in table.items():
+                succ[(i, v)] = m
+        out.append(succ)
+    return out
+
+
+def reference_reverse_successors(g: Graph, succ: dict) -> dict:
+    """The map r with succ[(r[(x, y)], y)] == x: every per-vertex bijection inverted."""
+    rev = {}
+    for y in g.vertices:
+        for u in g.neighbors(y):
+            rev[(succ[(u, y)], y)] = u
+    return rev
+
+
+def reference_cycles(succ: dict) -> tuple:
+    """Orbits of (i, j) -> (j, f(i, j)), each from its smallest arc, sorted by first arc."""
+    seen = set()
+    cycles = []
+    for a in sorted(succ):
+        if a in seen:
+            continue
+        cyc = [a]
+        b = (a[1], succ[a])
+        while b != a:
+            cyc.append(b)
+            b = (b[1], succ[b])
+        seen.update(cyc)
+        cycles.append(tuple(cyc))
+    return tuple(cycles)

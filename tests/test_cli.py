@@ -480,6 +480,15 @@ def test_nan_projector_weight_names_its_vertex(tmp_path, capsys):
     assert not (tmp_path / "distribution.csv").exists()
 
 
+def test_nan_coin_block_names_its_vertex(tmp_path, capsys):
+    # checked before any SVD, which would fail to converge and name no vertex
+    blocks = {str(v): [[math.nan if v == 3 else 1.0, 0.0], [0.0, 1.0]] for v in range(1, 5)}
+    config = dict(EVOLVE_CONFIG, walk={"coins": {"family": "explicit", "blocks": blocks}})
+    assert run(tmp_path, config, "evolve") == 2
+    assert capsys.readouterr().err == "error: coin at vertex 3 has a non-finite entry\n"
+    assert not (tmp_path / "distribution.csv").exists()
+
+
 def test_scan_bracket_threshold_is_an_unknown_key(tmp_path, capsys):
     config = dict(REFINE_CONFIG, scan=dict(REFINE_CONFIG["scan"], bracket_threshold=0.1))
     assert run(tmp_path, config, "qg-scan") == 2

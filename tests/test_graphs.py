@@ -3,7 +3,19 @@
 import numpy as np
 import pytest
 
-from helpers import C4_P1, C4_P2, C4_P3, arc_order_graphs, c4_graph
+from helpers import (
+    C4_P1,
+    C4_P2,
+    C4_P3,
+    arc_order_graphs,
+    c4_graph,
+    mixed_degree_graph,
+    partition_order_graph,
+    reference_cycles,
+    reference_enumerated_successors,
+    reference_random_successors,
+    reference_reverse_successors,
+)
 from qgwalk import (
     Graph,
     GraphValidationError,
@@ -344,6 +356,94 @@ def test_random_partition_seeded_and_valid():
     q = random_partition(g, np.random.default_rng(11))
     assert p == q
     assert p in enumerate_partitions(g)
+
+
+# ---------------------------------------------------------------------------
+# the builders against the successor-map references
+# ---------------------------------------------------------------------------
+
+
+def test_random_partition_draws_as_the_successor_map_reference():
+    for g in (*arc_order_graphs(), mixed_degree_graph()):
+        rng, ref_rng = np.random.default_rng(4242), np.random.default_rng(4242)
+        for _ in range(4):
+            p, succ = random_partition(g, rng), reference_random_successors(g, ref_rng)
+            assert dict(p.successors) == succ
+            assert p == Partition.from_successors(g, succ)
+        assert rng.random() == ref_rng.random()  # the same draws were taken
+
+
+@pytest.mark.parametrize("graph", [c4_graph(), p3(), s3(), complete_graph(4),
+                                   partition_order_graph()])
+def test_enumeration_order_is_the_successor_map_reference(graph):
+    expected = reference_enumerated_successors(graph)
+    assert [dict(p.successors) for p in enumerate_partitions(graph)] == expected
+    assert len(expected) == partition_count(graph)
+
+
+def test_reverse_cycles_and_successors_match_the_references():
+    rng = np.random.default_rng(31)
+    sample = _partition_sample() + [random_partition(g, rng)
+                                    for g in (mixed_degree_graph(), partition_order_graph())]
+    for p in sample:
+        space, succ = build_arc_space(p.graph), dict(p.successors)
+        assert succ == {a: space.arcs[c][1] for a, c in zip(space.arcs, p.perm.tolist())}
+        assert dict(reverse_partition(p).successors) == reference_reverse_successors(p.graph, succ)
+        assert p.cycles == reference_cycles(succ)
+
+
+# ---------------------------------------------------------------------------
+# a partition is its arc permutation
+# ---------------------------------------------------------------------------
+
+
+def test_partition_rejects_a_perm_that_is_no_partition():
+    g = c4_graph()
+    ff = build_arc_space(g).reverse.tolist()  # arcs (1,2) (1,4) (2,1) (2,3) (3,2) (3,4) (4,1) (4,3)
+
+    def changed(at: dict) -> list:
+        return [at.get(c, value) for c, value in enumerate(ff)]
+
+    cases = [
+        (ff[:-1], r"^perm has shape \(7,\), expected \(8,\)$"),
+        (ff + [0], r"^perm has shape \(9,\), expected \(8,\)$"),
+        (changed({3: 8, 5: 9}), r"^perm sends \(2, 3\) to 8, not in 0\.\.7$"),
+        (changed({3: -1}), r"^perm sends \(2, 3\) to -1, not in 0\.\.7$"),
+        (changed({0: 4, 5: 0}), r"^perm sends \(1, 2\) to \(3, 2\), which does not leave 2$"),
+        (changed({4: 2}), "^successor map is not a bijection at vertex 2$"),
+        (changed({1: 7}), "^successor map is not a bijection at vertex 4$"),
+    ]
+    for perm, message in cases:
+        with pytest.raises(ValueError, match=message):
+            Partition(g, perm)
+    with pytest.raises(TypeError):
+        Partition(g, np.array(ff, dtype=float))  # not truncated to integers
+    assert Partition(g, ff) == flip_flop_partition(g)
+
+
+def test_partition_owns_a_read_only_perm_and_read_only_views():
+    g = c4_graph()
+    raw = build_arc_space(g).reverse.copy()
+    p = Partition(g, raw)
+    raw[:] = 0  # the partition holds its own copy
+    assert p == flip_flop_partition(g) and p.is_flip_flop
+    with pytest.raises(ValueError, match="read-only"):
+        p.perm[0] = 1
+    with pytest.raises(TypeError):
+        p.successors[(1, 2)] = 3
+    with pytest.raises(ValueError, match="read-only"):
+        p.inverse[0] = 1
+    with pytest.raises(TypeError):
+        hash(p)
+    assert p != Partition.from_successors(g, C4_P1) and p != g
+
+
+def test_partition_views_follow_arc_order():
+    for p in _partition_sample():
+        arange = np.arange(p.perm.size)
+        assert list(p.successors) == list(p.arc_space.arcs)
+        assert np.array_equal(p.inverse[p.perm], arange)
+        assert np.array_equal(p.perm[p.inverse], arange)
 
 
 # ---------------------------------------------------------------------------

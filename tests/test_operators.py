@@ -1,5 +1,7 @@
 """Shift/coin assembly, walk unitarity, and the structural identities."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,7 @@ from qgwalk import (
     star_graph,
     unitarity_defect,
 )
+from qgwalk import operators
 from qgwalk.operators import _SPLIT_MIN_ROWS, _permuted_coins
 
 
@@ -153,6 +156,19 @@ def test_validate_names_the_first_offender_in_vertex_order(edit, message):
     with pytest.raises(ValueError) as info:
         CoinSet(blocks).validate(g)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
+def test_validate_names_the_first_non_finite_vertex_before_any_svd(bad, monkeypatch):
+    g = mixed_degree_graph()
+    blocks = _mixed_blocks(g, 73)
+    for v in (9, 8, 7):  # degrees 1, 2 and 2: the stacks hold 9 first, vertex order 7
+        blocks[v][0, -1] = bad
+    defects = []
+    monkeypatch.setattr(operators, "unitarity_defect", defects.append)
+    with pytest.raises(ValueError, match="^coin at vertex 7 has a non-finite entry$"):
+        CoinSet(blocks).validate(g)
+    assert defects == []
 
 
 def test_coin_set_from_a_dict_groups_copies_and_freezes():

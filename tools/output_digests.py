@@ -13,7 +13,8 @@ checkout's, so two checkouts get the same inputs.  The jobs are:
   ``SEED``, the benchmark's held-out seed (``perfbench/README.md``);
 * one ``qg-eigenfunction`` per root of each ``roots.csv`` written above,
   configured by ``perfbench/worker.eigenfunction_job``;
-* ``partitions`` on K4;
+* ``partitions`` on K4 and on a 6-vertex graph with degrees 4, 2, 2, 2, 1, 1
+  (192 partitions), so that an enumeration order over mixed degrees is hashed;
 * on a 9-vertex graph with every degree from 1 to 5, ``evolve`` once per
   coin family (``identity``, ``grover``, ``random``, ``szegedy``,
   ``quantum-graph`` with a Dirichlet vertex, ``projector`` with non-uniform
@@ -54,6 +55,9 @@ from workloads import WORKLOADS, generate  # noqa: E402
 
 SEED = 90317
 K4_PARTITIONS = {"graph": {"family": "complete", "n": 4}, "partitions": {}}
+MIXED_PARTITIONS = {"graph": {"vertices": 6, "edges": [[1, 2], [1, 3], [1, 4], [1, 5], [2, 3],
+                                                      [4, 6]]},
+                    "partitions": {}}
 # degrees 5, 2, 3, 3, 2, 2, 2, 2, 1 in vertex order
 MIXED_GRAPH = {"vertices": 9, "edges": [[1, 2], [1, 3], [1, 4], [1, 5], [1, 6], [2, 3], [3, 4],
                                         [4, 7], [5, 8], [6, 9], [7, 8]]}
@@ -186,8 +190,9 @@ def main() -> int:
                     runner.scan(f"bench/{job['id']}", job, path)
                 else:
                     runner.run(f"bench/{job['id']}", job["command"], path)
-        k4 = runner.config_path("partitions-k4", K4_PARTITIONS)
-        runner.run("partitions-k4", "partitions", k4)
+        for name, config in (("partitions-k4", K4_PARTITIONS),
+                             ("partitions-mixed", MIXED_PARTITIONS)):
+            runner.run(name, "partitions", runner.config_path(name, config))
         for name, command, config in mixed_degree_jobs():
             runner.run(f"mixed/{name}", command, runner.config_path(f"mixed-{name}", config))
         print("\n".join(runner.listing()))
