@@ -47,7 +47,6 @@ from .dynamics import from_arc_amplitudes, local_state, point_mass, probability_
 from .graphs import (
     Graph,
     Partition,
-    build_arc_space,
     complete_graph,
     cycle_graph,
     enumerate_partitions,
@@ -158,6 +157,8 @@ def _load_config(path: str, sections: set) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError("config nests too deeply to parse") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     _check_keys(cfg, sections, "config")
@@ -251,6 +252,11 @@ def _check_vertex_count(n: int) -> None:
         raise ConfigError(f"a graph on {n} vertices has over {MAX_ARCS} arcs, the limit")
 
 
+def _check_arc_count(arcs: int) -> None:
+    if arcs > MAX_ARCS:
+        raise ConfigError(f"graph has {arcs} arcs, over the {MAX_ARCS} limit")
+
+
 def _build_graph(cfg: dict) -> Graph:
     section = _section(cfg, "graph")
     _check_keys(section, {"vertices", "edges", "family", "n"}, "graph")
@@ -258,12 +264,16 @@ def _build_graph(cfg: dict) -> Graph:
         _check_keys(section, {"family", "n"}, "graph")
         family, n = section["family"], _int(section.get("n", 0), "graph.n")
         _check_vertex_count(n)
-        builders = {"cycle": cycle_graph, "path": path_graph, "complete": complete_graph,
-                    "star": lambda m: star_graph(m - 1)}
+        # each family's builder and the arc count of its graph on n vertices
+        builders = {"cycle": (cycle_graph, 2 * n), "path": (path_graph, 2 * (n - 1)),
+                    "complete": (complete_graph, n * (n - 1) if n > 1 else 0),
+                    "star": (lambda m: star_graph(m - 1), 2 * (n - 1))}
         if not isinstance(family, str) or family not in builders:
             raise ConfigError(f"unknown graph family {family!r}; "
                               f"choose from {sorted(builders)}")
-        g = builders[family](n)
+        build, arcs = builders[family]
+        _check_arc_count(arcs)
+        g = build(n)
     else:
         if "vertices" not in section or "edges" not in section:
             raise ConfigError("graph section needs 'vertices' and 'edges' (or 'family')")
@@ -274,13 +284,10 @@ def _build_graph(cfg: dict) -> Graph:
             if not (isinstance(e, list) and len(e) == 2
                     and all(isinstance(x, int) and not isinstance(x, bool) for x in e)):
                 raise ConfigError(f"edge {e!r} is not a [u, v] pair of integers")
-        if 2 * len(edges) > MAX_ARCS:
-            raise ConfigError(f"graph has {2 * len(edges)} arcs, over the {MAX_ARCS} limit")
+        _check_arc_count(2 * len(edges))  # exact: Graph.from_edges rejects a duplicate
         n = _int(section["vertices"], "graph.vertices")
         _check_vertex_count(n)
         g = Graph.from_edges(n, edges)
-    if 2 * len(g.edges) > MAX_ARCS:
-        raise ConfigError(f"graph has {2 * len(g.edges)} arcs, over the {MAX_ARCS} limit")
     return g
 
 
@@ -364,15 +371,15 @@ def _build_coins(g: Graph, cfg: dict, spec: dict, seed: int):
     if family == "szegedy":
         if "transition" not in spec:
             raise ConfigError("szegedy coins need a 'transition' entry")
-        return szegedy_coins(g, _build_transition(g, spec["transition"]))
+        return szegedy_coins(_build_transition(g, spec["transition"]))
     if family in ("quantum-graph", "projector"):
         if "k" not in spec:
             raise ConfigError(f"{family} coins need a wavenumber 'k'")
         q = _build_qg(g, cfg)
         k = _float(spec["k"], "walk.coins.k")
         if family == "quantum-graph":
-            return quantum_graph_coins(g, q, k)
-        return projector_coins(g, q, _build_weights(g, spec.get("weights")), k)
+            return quantum_graph_coins(q, k)
+        return projector_coins(q, _build_weights(g, spec.get("weights")), k)
     if family == "explicit":
         if "blocks" not in spec:
             raise ConfigError("explicit coins need a 'blocks' entry")
@@ -402,9 +409,9 @@ def _build_walk(g: Graph, cfg: dict, seed: int, default_coins: str = "grover"):
 def _cmd_evolve(args) -> int:
     cfg = _load_config(args.config, {"graph", "walk", "evolve", "quantum_graph"})
     g = _build_graph(cfg)
-    space = build_arc_space(g)
     p, coins, kind = _build_walk(g, cfg, args.seed)
-    op = evolution(space, p, coins, kind)
+    op = evolution(p, coins, kind)
+    space = op.space
 
     section = _section(cfg, "evolve")
     _check_keys(section, {"steps", "initial"}, "evolve")
@@ -446,7 +453,6 @@ def _cmd_evolve(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _load_config(args.config, {"graph", "walk", "verify", "quantum_graph"})
     g = _build_graph(cfg)
-    space = build_arc_space(g)
     section = _section(cfg, "verify", required=False)
     _check_keys(section, {"steps", "other_partition"}, "verify")
     steps = _int(section.get("steps", 3), "verify.steps")
@@ -458,14 +464,14 @@ def _cmd_verify(args) -> int:
     p2 = _build_partition(g, section.get("other_partition", {"random_seed": args.seed + 1}))
 
     # first, so that its dense matrices are freed before ug.matrix is built and kept
-    inverse = inverse_walk_residual(space, coins)
-    ug = evolution(space, p, coins, "G")
+    inverse = inverse_walk_residual(p.arc_space, coins)
+    ug = evolution(p, coins, "G")
     checks = [
         ("unitarity_g", unitarity_defect(ug.matrix)),
         ("unitarity_a", unitarity_defect(ug.with_kind("A").matrix)),
         (f"shift_duality_{steps}_steps", shift_duality_residual(ug, steps)),
         ("inverse_flip_flop", inverse),
-        ("partition_change", partition_change_residual(space, p, p2, coins)),
+        ("partition_change", partition_change_residual(p, p2, coins)),
         ("g_type_reduction", g_type_reduction_residual(ug)),
         ("a_type_reduction", a_type_reduction_residual(ug)),
         ("adjacency_support", adjacency_support_report(ug).max_leak),
@@ -480,12 +486,11 @@ def _cmd_verify(args) -> int:
 def _cmd_szegedy(args) -> int:
     cfg = _load_config(args.config, {"graph", "szegedy"})
     g = _build_graph(cfg)
-    space = build_arc_space(g)
     section = _section(cfg, "szegedy", required=False)
     _check_keys(section, {"transition"}, "szegedy")
     t = _build_transition(g, section.get("transition", "uniform"))
 
-    predicted = szegedy_spectrum(space, t)
+    predicted = szegedy_spectrum(t)
     eigenvalues, case, walk = predicted.eigenvalues, predicted.case, predicted.walk
     lift_residual = max((l.residual for l in predicted.lifts if l.genuine), default=0.0)
     del predicted  # the lifted vectors are not needed during the dense solve
@@ -502,7 +507,7 @@ def _cmd_szegedy(args) -> int:
                       ["case", "size", "max_angle_error", "shift",
                        "max_lift_residual", "ok"],
                       _lines("%s,%d,%.17g,%d,%.17g,%s",
-                             [(case, space.size, match.max_angle_error, match.shift,
+                             [(case, walk.size, match.max_angle_error, match.shift,
                                lift_residual, match.ok)]))
     return 0 if match.ok else 1
 
@@ -517,7 +522,7 @@ def _cmd_qg_scan(args) -> int:
         raise ConfigError("scan section needs 'k_min' and 'k_max'")
 
     scan = scan_roots(
-        g, q, _float(section["k_min"], "scan.k_min"), _float(section["k_max"], "scan.k_max"),
+        q, _float(section["k_min"], "scan.k_min"), _float(section["k_max"], "scan.k_max"),
         grid_points=(_int(section["grid_points"], "scan.grid_points")
                      if "grid_points" in section else None),
         refine_tol=_float(section.get("refine_tol", 1e-10), "scan.refine_tol"),
@@ -554,13 +559,13 @@ def _cmd_qg_eigenfunction(args) -> int:
         raise ConfigError(f"root_tol must be nonnegative, got {root_tol!r}")
     samples = _int(section.get("samples_per_edge", 33), "eigenfunction.samples_per_edge")
     _check_rows(samples * len(g.edges), "eigenfunction.samples_per_edge")
-    sv = stationary_vector(g, q, _float(section["k"], "eigenfunction.k"), root_tol=math.inf)
+    sv = stationary_vector(q, _float(section["k"], "eigenfunction.k"), root_tol=math.inf)
     root_ok = sv.defect <= root_tol
-    sample = sample_eigenfunction(sv, q, samples)
-    report = boundary_condition_report(sample, q, args.tol)
+    sample = sample_eigenfunction(sv, samples)
+    report = boundary_condition_report(sample, args.tol)
     # the four-way check expects the A-type stationary vector: the flip-flop
     # shift (arc reversal) of the G-type one that stationary_vector returns
-    equiv = stationarity_equivalences(g, q, sv.k, sv.amplitudes[sv.space.reverse])
+    equiv = stationarity_equivalences(sv.walk, sv.amplitudes[sv.walk.space.reverse])
 
     xs, values = sample.edge_xs, sample.edge_values
     _atomic_write_csv(os.path.join(args.out, "eigenfunction.csv"),
@@ -641,8 +646,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not getattr(args, "tol", 0.0) >= 0.0:  # NaN or negative fails every check
         parser.error(f"argument --tol: must be nonnegative, got {args.tol!r}")
-    os.makedirs(args.out, exist_ok=True)
     try:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use --out {args.out!r}: {exc}") from None
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

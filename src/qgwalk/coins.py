@@ -237,15 +237,13 @@ def grover_coins(g: Graph) -> CoinSet:
     return CoinSet({v: grover_coin(g.degree(v)) for v in g.vertices})
 
 
-def szegedy_coins(g: Graph, t: TransitionMatrix) -> CoinSet:
+def szegedy_coins(t: TransitionMatrix) -> CoinSet:
     """Reflection about the square-root transition profile at each vertex.
 
     Block entry (m, l) at vertex j is 2 sqrt(p(j,l) p(j,m)) - delta(l, m);
     each block squares to the identity.
     """
-    if t.graph != g:
-        raise ValueError("transition matrix belongs to a different graph")
-    space = build_arc_space(g)
+    space = build_arc_space(t.graph)
     stacks = []
     for vertices, arcs in space.degree_blocks:
         p = t.matrix[vertices[:, None] - 1, space.terminus[arcs] - 1]  # p(j, l) along j's arcs
@@ -268,13 +266,17 @@ def _scattering_block(d: int, lam: float, k: float) -> np.ndarray:
     return coeff * np.ones((d, d)) - np.eye(d)
 
 
-def _metric_coins(g: Graph, q: QuantumGraphParams, k: float,
-                  w: VertexWeights | None = None) -> CoinSet:
+def _check_weights(q: QuantumGraphParams, w: VertexWeights) -> None:
+    if w.graph != q.graph:
+        raise ValueError("weights belong to a different graph")
+
+
+def _metric_coins(q: QuantumGraphParams, k: float, w: VertexWeights | None = None) -> CoinSet:
     """diag(arc phases) times sigma(k) at every vertex, or with weights w the
     projector core (1 + e^{-i rho}) |a><a| - I at every non-DIRICHLET vertex."""
     _check_wavenumber(k)
-    if q.graph != g or (w is not None and w.graph != g):
-        raise ValueError("parameters belong to a different graph")
+    if w is not None:
+        _check_weights(q, w)
 
     def core(j: int, d: int) -> np.ndarray:
         lam = q.lam(j)
@@ -290,14 +292,14 @@ def _metric_coins(g: Graph, q: QuantumGraphParams, k: float,
         for vs, arcs in q.arc_space.degree_blocks)
 
 
-def quantum_graph_coins(g: Graph, q: QuantumGraphParams, k: float) -> CoinSet:
+def quantum_graph_coins(q: QuantumGraphParams, k: float) -> CoinSet:
     """Metric-graph coin at wavenumber k.
 
     Block at j: diag(arc phases) ((2 / (d + i lam/k)) J - I).  The lam = 0
     rows reduce exactly to the Grover reflection; DIRICHLET gives -I times
     the phases.
     """
-    return _metric_coins(g, q, k)
+    return _metric_coins(q, k)
 
 
 def boundary_phase(lam: float, d: int, k: float) -> float:
@@ -311,11 +313,11 @@ def boundary_phase(lam: float, d: int, k: float) -> float:
     return 2.0 * math.atan(lam / (k * d))
 
 
-def projector_coins(g: Graph, q: QuantumGraphParams, w: VertexWeights, k: float) -> CoinSet:
+def projector_coins(q: QuantumGraphParams, w: VertexWeights, k: float) -> CoinSet:
     """Projector-steered metric-graph coin.
 
     Block at j: diag(arc phases) ((1 + e^{-i rho}) |a><a| - I) with rho the
     boundary phase and a the unit weight vector at j.  Uniform weights
     reproduce ``quantum_graph_coins`` up to rounding.
     """
-    return _metric_coins(g, q, k, w)
+    return _metric_coins(q, k, w)

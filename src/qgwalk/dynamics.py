@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ArcSpace, Graph, Partition
+from .graphs import ArcSpace, Partition
 from .operators import CoinSet, EvolutionOperator
 
 __all__ = [
@@ -160,15 +160,14 @@ def probability_history(op: EvolutionOperator, state: WalkState,
 # ---------------------------------------------------------------------------
 
 
-def transfer_weight(space: ArcSpace, p: Partition, coins: CoinSet, kind: str,
-                    u: int, v: int) -> np.ndarray:
+def transfer_weight(p: Partition, coins: CoinSet, kind: str, u: int, v: int) -> np.ndarray:
     """Single-hop weight carrying the origin block of u to the block of v.
 
     G-type: column local(u; v) holds coin column local(v; f(u, v)) of H_v.
     A-type: row local(v; f(u, v)) holds coin row local(u; v) of H_u.
     Every other entry is zero, so one hop transports exactly one local mode.
     """
-    g = space.graph
+    g, space = p.graph, p.arc_space
     if v not in g.neighbors(u):
         raise ValueError(f"{u} -> {v} is not an arc")
     if kind not in ("G", "A"):
@@ -183,9 +182,8 @@ def transfer_weight(space: ArcSpace, p: Partition, coins: CoinSet, kind: str,
     return w
 
 
-def path_sum_amplitudes(space: ArcSpace, p: Partition, coins: CoinSet, kind: str,
-                        origin: int, phi: np.ndarray, steps: int,
-                        cap: int = 6) -> dict:
+def path_sum_amplitudes(p: Partition, coins: CoinSet, kind: str, origin: int,
+                        phi: np.ndarray, steps: int, cap: int = 6) -> dict:
     """Evolved origin-block vectors, one per reachable end vertex.
 
     Sums, over every vertex path origin = v0 -> v1 -> ... -> v_steps, the
@@ -197,7 +195,7 @@ def path_sum_amplitudes(space: ArcSpace, p: Partition, coins: CoinSet, kind: str
         raise ValueError("steps must be nonnegative")
     if steps > cap:
         raise ValueError(f"path enumeration over {steps} steps exceeds cap {cap}")
-    g = space.graph
+    g = p.graph
     phi = np.asarray(phi, dtype=complex)
     if phi.shape != (g.degree(origin),):
         raise ValueError(f"origin block vector has shape {phi.shape}")
@@ -211,17 +209,16 @@ def path_sum_amplitudes(space: ArcSpace, p: Partition, coins: CoinSet, kind: str
                 buckets[v] = vec
             return
         for w in g.neighbors(v):
-            walk(w, transfer_weight(space, p, coins, kind, v, w) @ vec, remaining - 1)
+            walk(w, transfer_weight(p, coins, kind, v, w) @ vec, remaining - 1)
 
     walk(origin, phi, steps)
     return buckets
 
 
-def path_sum_probability(space: ArcSpace, p: Partition, coins: CoinSet, kind: str,
-                         origin: int, phi: np.ndarray, steps: int, event: int,
-                         cap: int = 6) -> float:
+def path_sum_probability(p: Partition, coins: CoinSet, kind: str, origin: int,
+                         phi: np.ndarray, steps: int, event: int, cap: int = 6) -> float:
     """Probability of finding the walker at ``event`` after ``steps`` hops."""
-    buckets = path_sum_amplitudes(space, p, coins, kind, origin, phi, steps, cap)
+    buckets = path_sum_amplitudes(p, coins, kind, origin, phi, steps, cap)
     vec = buckets.get(event)
     if vec is None:
         return 0.0

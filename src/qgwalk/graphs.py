@@ -515,13 +515,13 @@ class PermutationTable:
         return m
 
 
-def partition_permutation(g: Graph, p: Partition, p2: Partition, j: int) -> PermutationTable:
+def partition_permutation(p: Partition, p2: Partition, j: int) -> PermutationTable:
     """Bijection f_p(i, j) -> f_p2(i, j) on the neighbourhood of j.
 
     Its matrix, multiplied into the coin at j from the right, converts a
     walk built with partition p2 into one built with partition p.
     """
-    if p.graph != g or p2.graph != g:
-        raise ValueError("partitions do not belong to the given graph")
-    mapping = {p.successors[(i, j)]: p2.successors[(i, j)] for i in g.neighbors(j)}
+    if p2.graph != p.graph:
+        raise ValueError("partitions belong to different graphs")
+    mapping = {p.successors[(i, j)]: p2.successors[(i, j)] for i in p.graph.neighbors(j)}
     return PermutationTable(j, mapping)

@@ -252,13 +252,13 @@ class EvolutionOperator:
         return _read_only(u)
 
 
-def shift_operator(space: ArcSpace, p: Partition) -> np.ndarray:
+def shift_operator(p: Partition) -> np.ndarray:
     """Permutation matrix sending arc (i, j) to (j, f(i, j)).
 
     The package itself works from the partition's ``perm``; this dense form
     is the reference that the gathers and scatters are checked against.
     """
-    n = space.size
+    n = p.perm.size
     s = np.zeros((n, n))
     s[p.perm, np.arange(n)] = 1.0
     return s
@@ -273,7 +273,7 @@ def coin_operator(space: ArcSpace, coins: CoinSet) -> np.ndarray:
     return c
 
 
-def evolution(space: ArcSpace, p: Partition, coins: CoinSet, kind: str = "G") -> EvolutionOperator:
+def evolution(p: Partition, coins: CoinSet, kind: str = "G") -> EvolutionOperator:
     """One-step evolution: G-type applies the shift first, A-type the coin.
 
     Unitarity is checked on the coin blocks alone.  The shift is a
@@ -282,9 +282,7 @@ def evolution(space: ArcSpace, p: Partition, coins: CoinSet, kind: str = "G") ->
     """
     if kind not in ("G", "A"):
         raise ValueError(f"kind must be 'G' or 'A', got {kind!r}")
-    if p.graph != space.graph:
-        raise ValueError("partition belongs to a different graph")
-    coins.validate(space.graph)
+    coins.validate(p.graph)
     return EvolutionOperator(kind, p, coins)
 
 
@@ -333,7 +331,7 @@ def inverse_walk_residual(space: ArcSpace, coins: CoinSet) -> float:
     involution.
     """
     p = flip_flop_partition(space.graph)
-    ug = evolution(space, p, coins, "G")
+    ug = evolution(p, coins, "G")
     # H^dag is unitary exactly when the H just validated is
     ua_dag = replace(ug, kind="A", coins=coins.dagger())
     # the uncached twins go first, so two dense walks at most are alive at once
@@ -354,10 +352,10 @@ def _permuted_coins(base: Partition, target: Partition, coins: CoinSet) -> CoinS
         for (vertices, arcs), (_, blocks) in zip(space.degree_blocks, coins.stacks))
 
 
-def partition_change_residual(space: ArcSpace, p: Partition, p2: Partition, coins: CoinSet) -> float:
+def partition_change_residual(p: Partition, p2: Partition, coins: CoinSet) -> float:
     """|| U_G,p2[H] - U_G,p[H P] ||: any G-type walk re-expressed on partition p."""
-    target = evolution(space, p2, coins, "G").matrix
-    rebuilt = evolution(space, p, _permuted_coins(p, p2, coins), "G").matrix
+    target = evolution(p2, coins, "G").matrix
+    rebuilt = evolution(p, _permuted_coins(p, p2, coins), "G").matrix
     return operator_norm(target - rebuilt)
 
 
@@ -370,7 +368,7 @@ def g_type_reduction_residual(op: EvolutionOperator) -> float:
     """
     ff = flip_flop_partition(op.space.graph)
     k = _permuted_coins(ff, op.partition, op.coins)
-    rhs = evolution(op.space, ff, k.dagger(), "A").matrix.conj().T
+    rhs = evolution(ff, k.dagger(), "A").matrix.conj().T
     return operator_norm(op.with_kind("G").matrix - rhs)
 
 
@@ -382,7 +380,7 @@ def a_type_reduction_residual(op: EvolutionOperator) -> float:
     ff = flip_flop_partition(op.space.graph)
     k = _permuted_coins(ff, op.partition, op.coins)
     inv = op.partition.inverse
-    rhs = evolution(op.space, ff, k.dagger(), "A").matrix.conj().T[np.ix_(inv, inv)]
+    rhs = evolution(ff, k.dagger(), "A").matrix.conj().T[np.ix_(inv, inv)]
     return operator_norm(op.with_kind("A").matrix - rhs)
 
 

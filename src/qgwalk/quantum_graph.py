@@ -3,9 +3,12 @@
 The walk U(k) = Phi(k) Sigma(k) S is the G-type flip-flop evolution with the
 metric-graph coins.  A wavenumber k is an eigenvalue of the underlying
 differential problem exactly when U(k) has eigenvalue 1; the smallest singular
-value of I - U(k) is the root indicator scanned and refined here.  Every dense
-U(k) here is the coin operator C(k) on ``q.arc_space`` with its columns gathered
+value of I - U(k) is the root indicator scanned and refined here.  The scan's
+dense U(k) is the coin operator C(k) on ``q.arc_space`` with its columns gathered
 through arc reversal (the flip-flop shift): the entries of C S, no shift matrix.
+``stationary_vector`` takes the same entries from ``quantum_graph_walk(q, k)``
+and keeps that walk.  ``q`` carries the graph and its arc space, and each
+result carries its ``q``.
 
 Edge parameters are read per arc, in arc order, from ``q.arc_lengths`` and
 ``q.arc_potentials``; ``q.propagation_phases(k)`` is Phi(k), exp(i L (k - A))
@@ -38,12 +41,13 @@ from .coins import (
     QuantumGraphParams,
     VertexWeights,
     _check_wavenumber,
+    _check_weights,
     _scattering_block,
     boundary_phase,
     projector_coins,
     quantum_graph_coins,
 )
-from .graphs import ArcSpace, Graph, flip_flop_partition
+from .graphs import flip_flop_partition
 from .operators import CoinSet, EvolutionOperator, coin_operator, evolution
 
 __all__ = [
@@ -74,26 +78,26 @@ class PoleProximityError(ValueError):
     """A per-edge factor is too close to zero to divide by."""
 
 
-def quantum_graph_walk(g: Graph, q: QuantumGraphParams, k: float) -> EvolutionOperator:
+def quantum_graph_walk(q: QuantumGraphParams, k: float) -> EvolutionOperator:
     """G-type flip-flop walk with the metric-graph coins at wavenumber k."""
-    return evolution(q.arc_space, flip_flop_partition(g), quantum_graph_coins(g, q, k), "G")
+    return evolution(flip_flop_partition(q.graph), quantum_graph_coins(q, k), "G")
 
 
-def _dense_walk(g: Graph, q: QuantumGraphParams, k: float) -> np.ndarray:
+def _dense_walk(q: QuantumGraphParams, k: float) -> np.ndarray:
     """Dense U(k) = C(k) S: the coin operator's columns gathered through arc reversal."""
     space = q.arc_space
-    return coin_operator(space, quantum_graph_coins(g, q, k))[:, space.reverse]
+    return coin_operator(space, quantum_graph_coins(q, k))[:, space.reverse]
 
 
-def _gap(g: Graph, q: QuantumGraphParams, k: float) -> tuple[np.ndarray, np.ndarray]:
+def _gap(q: QuantumGraphParams, k: float) -> tuple[np.ndarray, np.ndarray]:
     """I - U(k) and its singular values, largest first."""
-    gap = np.eye(q.arc_space.size) - _dense_walk(g, q, k)
+    gap = np.eye(q.arc_space.size) - _dense_walk(q, k)
     return gap, np.linalg.svd(gap, compute_uv=False)
 
 
-def stationarity_indicator(g: Graph, q: QuantumGraphParams, k: float) -> float:
+def stationarity_indicator(q: QuantumGraphParams, k: float) -> float:
     """Smallest singular value of I - U(k); zero exactly at eigenvalues."""
-    return float(_gap(g, q, k)[1][-1])
+    return float(_gap(q, k)[1][-1])
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +163,7 @@ MAX_GRID_POINTS = 10**6
 BRACKET_THRESHOLD = 0.1  # a grid minimum of the indicator under this is refined
 
 
-def scan_roots(g: Graph, q: QuantumGraphParams, k_min: float, k_max: float,
+def scan_roots(q: QuantumGraphParams, k_min: float, k_max: float,
                grid_points: int | None = None, refine_tol: float = 1e-10,
                root_tol: float = 1e-9) -> SecularScan:
     """Locate wavenumbers where U(k) has a unit eigenvalue.
@@ -189,17 +193,17 @@ def scan_roots(g: Graph, q: QuantumGraphParams, k_min: float, k_max: float,
     if grid_points > MAX_GRID_POINTS:
         raise ValueError(f"scan grid of {grid_points} points is over the "
                          f"{MAX_GRID_POINTS} limit; narrow [k_min, k_max] or set grid_points")
-    weights = VertexWeights.uniform(g)
+    weights = VertexWeights.uniform(q.graph)
     ks = np.linspace(k_min, k_max, grid_points)
     indicators = np.empty(grid_points)
     dets = np.empty(grid_points, dtype=complex)
     reduced = np.empty(grid_points, dtype=complex)
     for i, k in enumerate(ks):
-        gap, svals = _gap(g, q, k)
+        gap, svals = _gap(q, k)
         indicators[i] = svals[-1]
         dets[i] = np.linalg.det(gap)
         try:
-            reduced[i] = reduced_secular_determinant(g, q, float(k), 1.0, weights)
+            reduced[i] = reduced_secular_determinant(q, float(k), 1.0, weights)
         except PoleProximityError:
             reduced[i] = complex(float("nan"), float("nan"))
 
@@ -211,10 +215,10 @@ def scan_roots(g: Graph, q: QuantumGraphParams, k_min: float, k_max: float,
 
     found = []
     for lo, hi in candidates:
-        k_star, val = _golden_minimize(lambda k: float(_gap(g, q, k)[1][-1]),
+        k_star, val = _golden_minimize(lambda k: float(_gap(q, k)[1][-1]),
                                        float(lo), float(hi), refine_tol)
         if val <= root_tol:
-            svals = _gap(g, q, k_star)[1]
+            svals = _gap(q, k_star)[1]
             found.append(Root(k_star, val, int(np.sum(svals <= 1e-8))))
 
     found.sort(key=lambda r: r.k)
@@ -235,51 +239,47 @@ def scan_roots(g: Graph, q: QuantumGraphParams, k_min: float, k_max: float,
 
 @dataclass(frozen=True, eq=False)
 class StationaryVector:
-    """Unit arc vector with U(k) a = a, phase-fixed for reproducibility."""
+    """Unit arc vector with U(k) a = a, phase-fixed for reproducibility, with
+    the parameters it solves for and the walk ``U(k)`` it was taken from."""
 
-    space: ArcSpace
+    params: QuantumGraphParams
     k: float
     amplitudes: np.ndarray
     defect: float
+    walk: EvolutionOperator
 
 
-def stationary_vector(g: Graph, q: QuantumGraphParams, k: float,
+def stationary_vector(q: QuantumGraphParams, k: float,
                       root_tol: float = 1e-9) -> StationaryVector:
     """Nullspace direction of I - U(k); requires k to be a scanned-in root.
 
     The global phase is fixed by making the largest-magnitude component real
     and positive (first such index on ties).
     """
-    space = q.arc_space
-    _, svals, vh = np.linalg.svd(np.eye(space.size) - _dense_walk(g, q, k))
+    walk = quantum_graph_walk(q, k)
+    _, svals, vh = np.linalg.svd(np.eye(walk.size) - walk.matrix)
     defect = float(svals[-1])
     if defect > root_tol:
         raise ValueError(f"indicator {defect:.3e} at k={k!r}; not a root within {root_tol:g}")
     vec = vh[-1].conj()
     pivot = int(np.argmax(np.abs(vec)))
     vec = vec * (vec[pivot].conjugate() / abs(vec[pivot]))
-    return StationaryVector(space, k, vec, defect)
+    return StationaryVector(q, k, vec, defect, walk)
 
 
-def outgoing_amplitudes(space: ArcSpace, q: QuantumGraphParams, k: float,
-                        x: np.ndarray) -> np.ndarray:
+def outgoing_amplitudes(q: QuantumGraphParams, k: float, x: np.ndarray) -> np.ndarray:
     """Per-arc outgoing amplitudes a from a stationary walk vector x.
 
     The walk vector holds each outgoing wave after it has crossed its edge;
     a(i,j) = x(i,j) exp(-i L (k - A(i,j))) undoes that propagation.
     """
-    if space.graph != q.graph:
-        raise ValueError("parameters belong to a different graph")
     return x * q.propagation_phases(k).conj()
 
 
-def b_coefficients(space: ArcSpace, q: QuantumGraphParams, k: float,
-                   a: np.ndarray) -> np.ndarray:
+def b_coefficients(q: QuantumGraphParams, k: float, a: np.ndarray) -> np.ndarray:
     """Incoming weights b(i,j) = a(j,i) exp(i L (k + A(i,j))): a times the propagation
     phases, read through the arc reversal permutation."""
-    if space.graph != q.graph:
-        raise ValueError("parameters belong to a different graph")
-    return (a * q.propagation_phases(k))[space.reverse]
+    return (a * q.propagation_phases(k))[q.arc_space.reverse]
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,7 +294,7 @@ class EigenfunctionSample:
     scalar formula against the vectorized diagonal-matrix route.
     """
 
-    space: ArcSpace
+    params: QuantumGraphParams
     k: float
     stationarity_defect: float
     a_star: np.ndarray
@@ -314,15 +314,14 @@ def _pointwise_value(q: QuantumGraphParams, k: float, a_fwd: complex, a_rev: com
     return fwd + rev
 
 
-def sample_eigenfunction(sv: StationaryVector, q: QuantumGraphParams,
-                         samples_per_edge: int = 33) -> EigenfunctionSample:
+def sample_eigenfunction(sv: StationaryVector, samples_per_edge: int = 33) -> EigenfunctionSample:
     """Evaluate the eigenfunction on every edge and run its self-checks."""
     if samples_per_edge < 2:
         raise ValueError("need at least 2 samples per edge")
-    space = sv.space
-    g = space.graph
-    a = outgoing_amplitudes(space, q, sv.k, sv.amplitudes)
-    b = b_coefficients(space, q, sv.k, a)
+    q = sv.params
+    space, g = q.arc_space, q.graph
+    a = outgoing_amplitudes(q, sv.k, sv.amplitudes)
+    b = b_coefficients(q, sv.k, a)
 
     edge_xs, edge_values = {}, {}
     symmetry = wq_diff = 0.0
@@ -348,7 +347,7 @@ def sample_eigenfunction(sv: StationaryVector, q: QuantumGraphParams,
     traces = a + b
     vertex_values = {i: complex(traces[space.origin_slice(i)].mean()) for i in g.vertices}
 
-    return EigenfunctionSample(space, sv.k, sv.defect, a, b, edge_xs, edge_values,
+    return EigenfunctionSample(q, sv.k, sv.defect, a, b, edge_xs, edge_values,
                                vertex_values, symmetry, wq_diff)
 
 
@@ -366,8 +365,7 @@ class BoundaryReport:
     ok: bool
 
 
-def boundary_condition_report(sample: EigenfunctionSample, q: QuantumGraphParams,
-                              tol: float = 1e-8) -> BoundaryReport:
+def boundary_condition_report(sample: EigenfunctionSample, tol: float = 1e-8) -> BoundaryReport:
     """Check the three defining conditions of the edge-wise eigenfunction.
 
     I  (reported once, as vertex 0): the arc vector is stationary under U(k).
@@ -376,11 +374,11 @@ def boundary_condition_report(sample: EigenfunctionSample, q: QuantumGraphParams
         coupling term lambda * value; at DIRICHLET vertices the value itself
         must vanish.
     """
-    space = sample.space
-    a, b = sample.a_star, sample.b_star
+    q, a, b = sample.params, sample.a_star, sample.b_star
+    space = q.arc_space
     rows = [BoundaryRow(0, "I", sample.stationarity_defect,
                         sample.stationarity_defect <= tol)]
-    for i in space.graph.vertices:
+    for i in q.graph.vertices:
         sl = space.origin_slice(i)
         traces = a[sl] + b[sl]
         spread = float(np.abs(traces[:, None] - traces).max())
@@ -398,20 +396,19 @@ def boundary_condition_report(sample: EigenfunctionSample, q: QuantumGraphParams
 # ---------------------------------------------------------------------------
 
 
-def characteristic_determinant(g: Graph, q: QuantumGraphParams, k: float, t: complex,
+def characteristic_determinant(q: QuantumGraphParams, k: float, t: complex,
                                weights: VertexWeights | None = None) -> complex:
     """det(I - t U(k)) from the assembled walk (projector-steered coins)."""
     if weights is None:
-        weights = VertexWeights.uniform(g)
-    space = q.arc_space
-    u = evolution(space, flip_flop_partition(g), projector_coins(g, q, weights, k), "G").matrix
-    return complex(np.linalg.det(np.eye(space.size) - t * u))
+        weights = VertexWeights.uniform(q.graph)
+    u = evolution(flip_flop_partition(q.graph), projector_coins(q, weights, k), "G").matrix
+    return complex(np.linalg.det(np.eye(q.arc_space.size) - t * u))
 
 
 POLE_GUARD = 1e-10  # a per-edge factor of the reduced determinant this near 0 is a pole
 
 
-def reduced_secular_determinant(g: Graph, q: QuantumGraphParams, k: float, t: complex,
+def reduced_secular_determinant(q: QuantumGraphParams, k: float, t: complex,
                                 weights: VertexWeights | None = None) -> complex:
     """det(I - t U(k)) via a vertex-sized determinant and per-edge factors.
 
@@ -425,14 +422,14 @@ def reduced_secular_determinant(g: Graph, q: QuantumGraphParams, k: float, t: co
         D(t)[i, i] = mu_i sum_l |alpha_i[l]|^2
                      e^{2 i k L_il} / (1 - t^2 e^{2 i k L_il})
 
-    Raises PoleProximityError, naming the first such edge of ``g.edges``, when
+    Raises PoleProximityError, naming the first such edge of ``q.graph.edges``, when
     a per-edge factor is within ``POLE_GUARD`` of zero: T and D divide by them.
     """
+    g = q.graph
     if weights is None:
         weights = VertexWeights.uniform(g)
     _check_wavenumber(k)
-    if q.graph != g:
-        raise ValueError("parameters belong to a different graph")
+    _check_weights(q, weights)
     n = g.vertex_count
     origin, terminus = q.arc_space.origin - 1, q.arc_space.terminus - 1
 
@@ -458,28 +455,29 @@ def reduced_secular_determinant(g: Graph, q: QuantumGraphParams, k: float, t: co
     return complex(np.prod(edge_delta)) * complex(np.linalg.det(core))
 
 
-def stationarity_equivalences(g: Graph, q: QuantumGraphParams, k: float,
+def stationarity_equivalences(op: EvolutionOperator,
                               a: np.ndarray) -> tuple[float, float, float, float]:
     """Four reformulations of || U a - a || that must agree exactly.
 
-    For the flip-flop shift S (an involution) and coin C(k): with b = S a,
-    the A-type walk with C, the G-type walk with C^dag, the A-type walk with
-    C^dag on b, and the G-type walk with C on b all have the same defect.
-    The defects agree for any arc vector; they additionally vanish when a is
-    A-type stationary, i.e. the shift of a G-type stationary vector.
+    For the flip-flop shift S (an involution) and the coins C of ``op``, a
+    flip-flop walk of either type: with b = S a, the A-type walk with C, the
+    G-type walk with C^dag, the A-type walk with C^dag on b, and the G-type
+    walk with C on b all have the same defect.  The defects agree for any arc
+    vector; they additionally vanish when a is A-type stationary, i.e. the
+    shift of a G-type stationary vector.  A walk on another partition raises.
     """
-    space = q.arc_space
-    p = flip_flop_partition(g)
+    if not op.partition.is_flip_flop:
+        raise ValueError("stationarity equivalences need a flip-flop walk")
     # the flip-flop shift is an involution, so a gather through it is S a
-    b = a[space.reverse]
-    ua = evolution(space, p, quantum_graph_coins(g, q, k), "A")
-    # C(k)^dag is unitary exactly when the C(k) just validated is
+    b = a[op.space.reverse]
+    ua = op.with_kind("A")
+    # C^dag is unitary exactly when the C validated with op is
     ua_d = replace(ua, coins=ua.coins.dagger())
     return (
         float(np.linalg.norm(ua.matrix @ a - a)),
         float(np.linalg.norm(ua_d.with_kind("G").matrix @ a - a)),
         float(np.linalg.norm(ua_d.matrix @ b - b)),
-        float(np.linalg.norm(ua.with_kind("G").matrix @ b - b)),
+        float(np.linalg.norm(op.with_kind("G").matrix @ b - b)),
     )
 
 
@@ -492,16 +490,17 @@ class ScatteringFactorization:
     residual: float
 
 
-def scattering_factorization(g: Graph, q: QuantumGraphParams, k: float) -> ScatteringFactorization:
+def scattering_factorization(q: QuantumGraphParams, k: float) -> ScatteringFactorization:
     """Write U(k) = diag(edge phases) (C[sigma] S) with phase-free sigma.
 
     sigma_j is the metric-graph coin with all propagation phases removed:
     (2 / (d_j + i lam_j / k)) J - I, or -I at a DIRICHLET vertex.  The
     returned residual is the spectral-norm defect of the factorization.
     """
-    u = _dense_walk(g, q, k)
+    g = q.graph
+    u = _dense_walk(q, k)
     sigma = CoinSet({j: _scattering_block(g.degree(j), q.lam(j), k) for j in g.vertices})
-    vertex_step = evolution(q.arc_space, flip_flop_partition(g), sigma, "G")
+    vertex_step = evolution(flip_flop_partition(g), sigma, "G")
     phases = q.propagation_phases(k)
     residual = float(np.linalg.norm(u - phases[:, None] * vertex_step.matrix, 2))
     return ScatteringFactorization(vertex_step, phases, residual)

@@ -4,13 +4,14 @@ The walk is the A-type flip-flop evolution whose coins reflect about the
 square-root transition profile.  Writing A for the isometry lifting vertex
 j to its profile over outgoing arcs and S for the flip-flop shift, the walk
 is S (2 A A^dag - I), and its full 2|E|-point spectrum is determined by the
-symmetric n x n matrix with entries sqrt(p(i,j) p(j,i)):
+symmetric n x n matrix T with entries sqrt(p(i,j) p(j,i)):
 
-* each eigenvalue nu = cos(theta) contributes phases exp(+/- i theta);
-* on a tree the minus family drops its nu = +/-1 members;
-* with |E| = |V| both families enter whole;
-* with |E| > |V| both families enter whole plus |E| - |V| extra copies
-  each of +1 and -1.
+* each eigenvalue nu = cos(theta) contributes phases exp(+/- i theta), and
+  extra = |E| - |V| copies each of +1 and -1 are added: extra is the exponent
+  of (1 - t^2) in det(I - t U) = (1 - t^2)^extra det((1 + t^2) I - 2 t T)
+  (Konno & Sato);
+* extra < 0 only on a tree, whose one nu = +1 and one nu = -1 then lose
+  their second copy, with its lift; ``case`` is the sign of extra.
 
 Eigenvectors lift as (I - exp(i theta) S) A p; at nu = +/-1 the lift can
 vanish, in which case that direction carries no genuine eigenvector.  The
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coins import TransitionMatrix, szegedy_coins
-from .graphs import ArcSpace, Graph, flip_flop_partition
+from .graphs import Graph, build_arc_space, flip_flop_partition
 from .operators import EvolutionOperator, evolution
 
 __all__ = [
@@ -54,18 +55,18 @@ def discriminant_matrix(t: TransitionMatrix) -> np.ndarray:
     return np.sqrt(t.matrix * t.matrix.T)
 
 
-def lift_map(space: ArcSpace, t: TransitionMatrix) -> np.ndarray:
+def lift_map(t: TransitionMatrix) -> np.ndarray:
     """Isometry (2|E| x n) sending vertex j to its sqrt-profile over arcs."""
+    space = build_arc_space(t.graph)
     origin, terminus = space.origin - 1, space.terminus - 1
     a = np.zeros((space.size, space.graph.vertex_count))
     a[np.arange(space.size), origin] = np.sqrt(t.matrix[origin, terminus])
     return a
 
 
-def szegedy_walk(space: ArcSpace, t: TransitionMatrix) -> EvolutionOperator:
+def szegedy_walk(t: TransitionMatrix) -> EvolutionOperator:
     """A-type flip-flop walk with the square-root reflection coins."""
-    return evolution(space, flip_flop_partition(space.graph),
-                     szegedy_coins(space.graph, t), "A")
+    return evolution(flip_flop_partition(t.graph), szegedy_coins(t), "A")
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,15 +90,15 @@ class SpectralResult:
     walk: EvolutionOperator
 
 
-def szegedy_spectrum(space: ArcSpace, t: TransitionMatrix) -> SpectralResult:
+def szegedy_spectrum(t: TransitionMatrix) -> SpectralResult:
     """Predict the walk spectrum from the vertex-sized discriminant.
 
-    Builds the phase multiset by the edge-count case split and lifts one
-    (would-be) eigenvector per contributing phase.  The result always has
-    exactly 2|E| phases; that count is asserted, not assumed.
+    Builds the phase multiset by the rule of extra = |E| - |V| and lifts one
+    (would-be) eigenvector per phase a discriminant eigenvalue contributes.
+    The result always has exactly 2|E| phases; that count is asserted, not
+    assumed.
     """
-    g = space.graph
-    n, m_edges = g.vertex_count, len(g.edges)
+    n, extra = t.graph.vertex_count, len(t.graph.edges) - t.graph.vertex_count
     disc = discriminant_matrix(t)
     nus, vecs = np.linalg.eigh(disc)
     # arccos has infinite slope at +/-1, so an eigensolver error of ~1e-16
@@ -106,34 +107,25 @@ def szegedy_spectrum(space: ArcSpace, t: TransitionMatrix) -> SpectralResult:
     nus = np.where(snap, np.copysign(1.0, nus), nus)
     thetas = np.arccos(np.clip(nus, -1.0, 1.0))
 
-    if m_edges == n - 1:
-        case = "tree"
-    elif m_edges == n:
-        case = "unicyclic"
-    else:
-        case = "general"
+    case = "tree" if extra < 0 else "unicyclic" if extra == 0 else "general"
 
-    op = szegedy_walk(space, t)
-    lifted = lift_map(space, t) @ vecs
-    shifted = lifted[space.reverse]
+    op = szegedy_walk(t)
+    lifted = lift_map(t) @ vecs
+    shifted = lifted[op.space.reverse]
 
     eigenvalues: list[complex] = []
     lifts: list[LiftedEigenvector] = []
     for idx in range(n):
         nu, theta = float(nus[idx]), float(thetas[idx])
-        at_pm1 = abs(abs(nu) - 1.0) <= PM1_TOL
-        signs = (1.0,) if (case == "tree" and at_pm1) else (1.0, -1.0)
-        for sign in signs:
+        for sign in (1.0,) if extra < 0 and snap[idx] else (1.0, -1.0):
             mu = complex(np.exp(1j * sign * theta))
             eigenvalues.append(mu)
             lifts.append(_lift_direction(op, lifted[:, idx], shifted[:, idx], nu, mu))
-    if case == "general":
-        for _ in range(m_edges - n):
-            eigenvalues.extend([1.0 + 0.0j, -1.0 + 0.0j])
+    eigenvalues += [1.0 + 0.0j, -1.0 + 0.0j] * max(extra, 0)
 
     out = np.array(eigenvalues)
-    if out.shape != (space.size,):
-        raise AssertionError(f"predicted {out.shape[0]} phases, expected {space.size}")
+    if out.shape != (op.size,):
+        raise AssertionError(f"predicted {out.shape[0]} phases, expected {op.size}")
     order = np.lexsort((out.real, np.angle(out)))
     return SpectralResult(case, nus, thetas, out[order], tuple(lifts), op)
 

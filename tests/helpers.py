@@ -213,7 +213,7 @@ def ring_engine_histories(a: float, b: float, n_sites: int, steps: int,
     space = build_arc_space(g)
     coin = np.array([[1j * b, a], [a, 1j * b]], dtype=complex)
     coins = CoinSet({v: coin for v in g.vertices})
-    op = evolution(space, flip_flop_partition(g), coins, "G")
+    op = evolution(flip_flop_partition(g), coins, "G")
 
     def right_arc(site):
         v = site + 1
@@ -286,10 +286,10 @@ def coin_families(g: Graph, rng: np.random.Generator, k: float = 1.3) -> dict:
         "identity": identity_coins(g),
         "grover": grover_coins(g),
         "haar": random_unitary_coins(g, rng),
-        "szegedy_uniform": szegedy_coins(g, TransitionMatrix.uniform(g)),
-        "szegedy_random": szegedy_coins(g, random_reversible_transition(g, rng)),
-        "metric": quantum_graph_coins(g, q, k),
-        "projector": projector_coins(g, q, random_weights(g, rng), k),
+        "szegedy_uniform": szegedy_coins(TransitionMatrix.uniform(g)),
+        "szegedy_random": szegedy_coins(random_reversible_transition(g, rng)),
+        "metric": quantum_graph_coins(q, k),
+        "projector": projector_coins(q, random_weights(g, rng), k),
     }
 
 

@@ -109,22 +109,21 @@ def _random_instance(rng):
 
 @functools.cache
 def _star_scan():
-    return scan_roots(STAR, STAR_PARAMS, 0.5, 6.0)
+    return scan_roots(STAR_PARAMS, 0.5, 6.0)
 
 
 def test_01_unitarity(capsys):
     def check():
         g = c4_graph()
-        space = build_arc_space(g)
         rng = np.random.default_rng(101)
         for p in enumerate_partitions(g):
             for coins in coin_families(g, rng).values():
                 for kind in ("G", "A"):
-                    assert unitarity_defect(evolution(space, p, coins, kind).matrix) <= 1e-12
+                    assert unitarity_defect(evolution(p, coins, kind).matrix) <= 1e-12
         for _ in range(20):
-            _, rspace, rp, rcoins = _random_instance(rng)
+            _, _, rp, rcoins = _random_instance(rng)
             for kind in ("G", "A"):
-                assert unitarity_defect(evolution(rspace, rp, rcoins, kind).matrix) <= 1e-12
+                assert unitarity_defect(evolution(rp, rcoins, kind).matrix) <= 1e-12
 
     _verdict(capsys, 1, "unitarity", check)
 
@@ -135,14 +134,14 @@ def test_02_structural_identities(capsys):
         for _ in range(50):
             g, space, p, coins = _random_instance(rng)
             for n in range(6):
-                assert shift_duality_residual(evolution(space, p, coins, "G"), n) <= 1e-10
+                assert shift_duality_residual(evolution(p, coins, "G"), n) <= 1e-10
             assert inverse_walk_residual(space, coins) <= 1e-10
-            assert partition_change_residual(space, p, random_partition(g, rng),
+            assert partition_change_residual(p, random_partition(g, rng),
                                              coins) <= 1e-10
-            assert g_type_reduction_residual(evolution(space, p, coins, "G")) <= 1e-10
-            assert a_type_reduction_residual(evolution(space, p, coins, "G")) <= 1e-10
-            assert adjacency_support_report(evolution(space, p, coins, "G")).ok
-            assert adjacency_support_report(evolution(space, flip_flop_partition(g), coins, "G")).ok
+            assert g_type_reduction_residual(evolution(p, coins, "G")) <= 1e-10
+            assert a_type_reduction_residual(evolution(p, coins, "G")) <= 1e-10
+            assert adjacency_support_report(evolution(p, coins, "G")).ok
+            assert adjacency_support_report(evolution(flip_flop_partition(g), coins, "G")).ok
         for g in (c4_graph(), path_graph(3)):
             ff = flip_flop_partition(g)
             for p in enumerate_partitions(g):
@@ -180,14 +179,14 @@ def test_04_path_sum_oracle(capsys):
             for coins in (grover_coins(g), random_unitary_coins(g, rng)):
                 p = random_partition(g, rng)
                 for kind in ("G", "A"):
-                    op = evolution(space, p, coins, kind)
+                    op = evolution(p, coins, kind)
                     phi = rng.normal(size=g.degree(1)) + 1j * rng.normal(size=g.degree(1))
                     phi /= np.linalg.norm(phi)
                     for steps in range(5):
                         dist = finding_probability(evolve(op, local_state(space, 1, phi),
                                                           steps))
                         for event in g.vertices:
-                            direct = path_sum_probability(space, p, coins, kind, 1,
+                            direct = path_sum_probability(p, coins, kind, 1,
                                                           phi, steps, event)
                             assert abs(direct - dist[event - 1]) <= 1e-10
 
@@ -232,12 +231,11 @@ def test_06_szegedy_spectra(capsys):
                   complete_graph(4),
                   random_connected_graph(rng), random_connected_graph(rng)]
         for g in graphs:
-            space = build_arc_space(g)
             for t in (TransitionMatrix.uniform(g),
                       random_reversible_transition(g, rng)):
-                result = szegedy_spectrum(space, t)
+                result = szegedy_spectrum(t)
                 match = compare_spectra(result.eigenvalues,
-                                        direct_spectrum(szegedy_walk(space, t)))
+                                        direct_spectrum(szegedy_walk(t)))
                 assert match.ok and match.max_angle_error <= 1e-8
                 for lift in result.lifts:
                     if lift.genuine:
@@ -254,20 +252,20 @@ def test_06_szegedy_spectra(capsys):
 
 def test_07_metric_spectra(capsys):
     def check():
-        neumann = scan_roots(K2, UNIT_INTERVAL, 0.1, 10.0)
+        neumann = scan_roots(UNIT_INTERVAL, 0.1, 10.0)
         closed = interval_roots(1.0, 10.0)
         assert len(neumann.roots) == len(closed) == 3
         for root, want in zip(neumann.roots, closed):
             assert abs(root.k - want) <= 1e-8
         dirichlet = scan_roots(
-            K2, QuantumGraphParams.build(K2, lambdas={1: DIRICHLET, 2: DIRICHLET}),
+            QuantumGraphParams.build(K2, lambdas={1: DIRICHLET, 2: DIRICHLET}),
             0.1, 10.0)
         for root, want in zip(dirichlet.roots, closed):
             assert abs(root.k - want) <= 1e-8
         assert len(dirichlet.roots) == 3
 
         equilateral = QuantumGraphParams.build(STAR)
-        scan = scan_roots(STAR, equilateral, 0.5, 7.0)
+        scan = scan_roots(equilateral, 0.5, 7.0)
         oracle = star_neumann_shooting_roots([1.0, 1.0, 1.0], 0.5, 7.0)
         closed_star = [(k, m) for k, m in equilateral_star_roots(3, 1.0, 7.0) if k > 0.5]
         assert len(scan.roots) == len(oracle) == len(closed_star)
@@ -283,22 +281,20 @@ def test_08_boundary_and_secular(capsys):
         scan = _star_scan()
         assert scan.roots
         for root in scan.roots:
-            sv = stationary_vector(STAR, STAR_PARAMS, root.k)
-            report = boundary_condition_report(sample_eigenfunction(sv, STAR_PARAMS),
-                                               STAR_PARAMS)
+            sv = stationary_vector(STAR_PARAMS, root.k)
+            report = boundary_condition_report(sample_eigenfunction(sv))
             assert report.ok
             assert max(row.residual for row in report.rows) <= 1e-8
-            assert abs(reduced_secular_determinant(STAR, STAR_PARAMS, root.k,
+            assert abs(reduced_secular_determinant(STAR_PARAMS, root.k,
                                                    1.0 + 0.0j)) <= 1e-6
         off_k = scan.roots[0].k + 1e-2
-        off = stationary_vector(STAR, STAR_PARAMS, off_k, root_tol=10.0)
-        off_report = boundary_condition_report(sample_eigenfunction(off, STAR_PARAMS),
-                                               STAR_PARAMS)
+        off = stationary_vector(STAR_PARAMS, off_k, root_tol=10.0)
+        off_report = boundary_condition_report(sample_eigenfunction(off))
         assert not off_report.ok
-        assert abs(reduced_secular_determinant(STAR, STAR_PARAMS, off_k,
+        assert abs(reduced_secular_determinant(STAR_PARAMS, off_k,
                                                1.0 + 0.0j)) > 1e-4
         try:
-            stationary_vector(STAR, STAR_PARAMS, off_k)
+            stationary_vector(STAR_PARAMS, off_k)
         except ValueError:
             pass
         else:
@@ -320,10 +316,10 @@ def test_09_determinant_reduction(capsys):
             k = float(rng.uniform(0.5, 6.0))
             t = float(rng.uniform(0.2, 0.97)) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
             try:
-                reduced = reduced_secular_determinant(g, q, k, t, weights=w)
+                reduced = reduced_secular_determinant(q, k, t, weights=w)
             except PoleProximityError:
                 continue
-            direct = characteristic_determinant(g, q, k, t, weights=w)
+            direct = characteristic_determinant(q, k, t, weights=w)
             assert abs(reduced - direct) <= 1e-8 * max(1.0, abs(direct))
             checked += 1
         readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -336,12 +332,12 @@ def test_10_coin_limits(capsys):
     def check():
         for g in (c4_graph(), star_graph(3), complete_graph(4)):
             q0 = QuantumGraphParams.build(g, lengths=0.0)
-            coins = quantum_graph_coins(g, q0, 1.3)
+            coins = quantum_graph_coins(q0, 1.3)
             reference = grover_coins(g)
             for v in g.vertices:
                 assert np.array_equal(coins.block(v), reference.block(v).astype(complex))
-            walk = quantum_graph_walk(g, q0, 1.3).matrix
-            grover = evolution(build_arc_space(g), flip_flop_partition(g),
+            walk = quantum_graph_walk(q0, 1.3).matrix
+            grover = evolution(flip_flop_partition(g),
                                reference).matrix
             assert np.abs(walk - grover).max() == 0.0
 
@@ -353,8 +349,8 @@ def test_10_coin_limits(capsys):
                 w = VertexWeights(g, {
                     v: np.sqrt(np.array([t.entry(v, l) for l in g.neighbors(v)]))
                     for v in g.vertices})
-                projected = projector_coins(g, q0, w, 2.2)
-                reference = szegedy_coins(g, t)
+                projected = projector_coins(q0, w, 2.2)
+                reference = szegedy_coins(t)
                 for v in g.vertices:
                     assert np.abs(projected.block(v) - reference.block(v)).max() <= 1e-12
 
@@ -364,24 +360,23 @@ def test_10_coin_limits(capsys):
 def test_11_stationarity_forms(capsys):
     def check():
         space = build_arc_space(STAR)
-        shift = shift_operator(space, flip_flop_partition(STAR))
+        shift = shift_operator(flip_flop_partition(STAR))
         scan = _star_scan()
         for root in scan.roots:
-            sv = stationary_vector(STAR, STAR_PARAMS, root.k)
-            defects = stationarity_equivalences(STAR, STAR_PARAMS, root.k,
-                                                shift @ sv.amplitudes)
+            sv = stationary_vector(STAR_PARAMS, root.k)
+            defects = stationarity_equivalences(sv.walk, shift @ sv.amplitudes)
             assert max(defects) <= 1e-8
             assert max(defects) <= 10.0 * max(min(defects), 1e-300)
         rng = np.random.default_rng(111)
         vec = rng.normal(size=space.size) + 1j * rng.normal(size=space.size)
         vec /= np.linalg.norm(vec)
-        off = stationarity_equivalences(STAR, STAR_PARAMS, scan.roots[0].k + 0.3, vec)
+        off = stationarity_equivalences(quantum_graph_walk(STAR_PARAMS, scan.roots[0].k + 0.3),
+                                        vec)
         assert min(off) > 1e-3
 
-        for g, q in ((STAR, STAR_PARAMS), (cycle_graph(5),
-                                           generic_params(cycle_graph(5), rng))):
+        for q in (STAR_PARAMS, generic_params(cycle_graph(5), rng)):
             for k in (0.8, 1.9, 3.4):
-                assert scattering_factorization(g, q, k).residual <= 1e-12
+                assert scattering_factorization(q, k).residual <= 1e-12
 
     _verdict(capsys, 11, "stationarity-forms", check)
 

@@ -355,6 +355,38 @@ def test_oversize_graph_is_rejected_before_it_is_built(tmp_path, capsys, graph, 
     assert message in capsys.readouterr().err
 
 
+def test_a_family_is_counted_before_it_is_built(tmp_path, capsys):
+    # K1001 passes the vertex-count check: only its 1001000 arcs are over the limit
+    with mock.patch.object(cli, "complete_graph") as build:
+        config = {"graph": {"family": "complete", "n": 1001}, "partitions": {}}
+        assert run(tmp_path, config, "partitions") == 2
+    build.assert_not_called()
+    assert capsys.readouterr().err == "error: graph has 1001000 arcs, over the 2000 limit\n"
+
+
+def test_a_family_with_too_few_vertices_is_not_counted_as_oversize(tmp_path, capsys):
+    config = {"graph": {"family": "complete", "n": -100000}, "partitions": {}}
+    assert run(tmp_path, config, "partitions") == 2
+    assert capsys.readouterr().err == "error: graph needs at least two vertices\n"
+
+
+def test_an_out_path_naming_a_file_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(EVOLVE_CONFIG))
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["evolve", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot use --out {str(out)!r}: ")
+    assert out.read_text() == ""
+
+
+def test_a_config_nested_too_deeply_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main(["evolve", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: config nests too deeply to parse\n"
+
+
 def test_successor_off_the_neighbourhood_is_a_config_error(tmp_path, capsys):
     walk = {"partition": {"successors": {"1,2": 5, "3,2": 1, "2,1": 4, "4,1": 2,
                                          "2,3": 4, "4,3": 2, "3,4": 1, "1,4": 3}}}
@@ -551,7 +583,7 @@ def test_negative_verify_steps_is_a_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command,config,validations", [
     ("evolve", EVOLVE_CONFIG, 1), ("verify", VERIFY_CONFIG, 6),
-    ("szegedy", SZEGEDY_CONFIG, 1), ("qg-eigenfunction", EIGEN_CONFIG, 2),
+    ("szegedy", SZEGEDY_CONFIG, 1), ("qg-eigenfunction", EIGEN_CONFIG, 1),
 ])
 def test_each_command_validates_each_walk_once(tmp_path, command, config, validations):
     """A walk's other type shares its validated coins, so it is never validated again.
@@ -559,8 +591,8 @@ def test_each_command_validates_each_walk_once(tmp_path, command, config, valida
     verify: its walk, the flip-flop inversion walk with H, whose blocks the
     walk with H^dag shares daggered, two partition-change walks and one
     flip-flop reduction per type; szegedy: the walk it lifts
-    and diagonalizes; qg-eigenfunction: U(k) for the stationary vector, then
-    the walk with C(k), whose blocks the walk with C(k)^dag shares daggered.
+    and diagonalizes; qg-eigenfunction: U(k), which gives the stationary
+    vector and whose blocks the four-way check shares, daggered or not.
     """
     with mock.patch.object(CoinSet, "validate", autospec=True,
                            side_effect=CoinSet.validate) as validate:
@@ -657,7 +689,7 @@ def test_evolve_over_several_chunks_matches_the_reference_bytes(tmp_path):
               "evolve": {"steps": steps, "initial": {"arc": [2, 1]}}}
     assert run(tmp_path, config, "evolve") == 0
 
-    op = evolution(space, flip_flop_partition(g),
+    op = evolution(flip_flop_partition(g),
                    random_unitary_coins(g, np.random.default_rng(seed)), "G")
     assert (tmp_path / "distribution.csv").read_bytes() == distribution_reference(
         op, point_mass(space, (2, 1)), steps)
@@ -678,7 +710,7 @@ def test_evolve_bytes_on_a_mixed_degree_graph(tmp_path, kind, steps):
 
     g = Graph.from_edges(6, MIXED_EDGES)
     space = build_arc_space(g)
-    op = evolution(space, random_partition(g, np.random.default_rng(3)),
+    op = evolution(random_partition(g, np.random.default_rng(3)),
                    random_unitary_coins(g, np.random.default_rng(4)), kind)
     assert (tmp_path / "distribution.csv").read_bytes() == distribution_reference(
         op, point_mass(space, (4, 1)), steps)

@@ -160,7 +160,7 @@ def test_random_reversible_transition_valid_and_seeded():
 
 def test_szegedy_uniform_equals_grover():
     g = c4_graph()
-    coins = szegedy_coins(g, TransitionMatrix.uniform(g))
+    coins = szegedy_coins(TransitionMatrix.uniform(g))
     for v in g.vertices:
         assert np.array_equal(coins.block(v), grover_coin(2).astype(complex))
 
@@ -172,7 +172,7 @@ def test_szegedy_quarter_three_quarter_block():
     m[0, 1] = 1.0
     m[1, 0], m[1, 2] = 0.25, 0.75
     m[2, 1] = 1.0
-    coins = szegedy_coins(g, TransitionMatrix(g, m))
+    coins = szegedy_coins(TransitionMatrix(g, m))
     expected = np.array([[-0.5, math.sqrt(3) / 2], [math.sqrt(3) / 2, 0.5]])
     assert np.abs(coins.block(2) - expected).max() <= 1e-15
     assert np.array_equal(coins.block(1), np.array([[1.0 + 0.0j]]))
@@ -180,7 +180,7 @@ def test_szegedy_quarter_three_quarter_block():
 
 def test_szegedy_blocks_are_reflections():
     g = star_graph(4)
-    coins = szegedy_coins(g, random_reversible_transition(g, np.random.default_rng(5)))
+    coins = szegedy_coins(random_reversible_transition(g, np.random.default_rng(5)))
     for v in g.vertices:
         h = coins.block(v)
         assert np.abs(h @ h - np.eye(h.shape[0])).max() <= 1e-12
@@ -275,7 +275,7 @@ def test_dirichlet_sentinel_is_infinity():
 def test_metric_coins_zero_length_zero_coupling_is_grover_exactly():
     g = star_graph(3)
     q = QuantumGraphParams.build(g, lengths=0.0)
-    coins = quantum_graph_coins(g, q, 2.2)
+    coins = quantum_graph_coins(q, 2.2)
     for v in g.vertices:
         assert np.abs(coins.block(v) - grover_coin(g.degree(v))).max() == 0.0
 
@@ -283,7 +283,7 @@ def test_metric_coins_zero_length_zero_coupling_is_grover_exactly():
 def test_metric_coin_degree_one_is_a_pure_phase():
     g = Graph.from_edges(2, [(1, 2)])
     q = QuantumGraphParams.build(g, lengths=0.7)
-    coins = quantum_graph_coins(g, q, 3.0)
+    coins = quantum_graph_coins(q, 3.0)
     assert abs(coins.block(1)[0, 0] - np.exp(1j * 0.7 * 3.0)) <= 1e-15
 
 
@@ -292,7 +292,7 @@ def test_dirichlet_coin_is_negated_phase_diagonal():
     q = QuantumGraphParams.build(g, lengths={(1, 2): 1.0, (1, 3): 0.4, (1, 4): 2.0},
                                  lambdas=DIRICHLET)
     k = 1.9
-    coins = quantum_graph_coins(g, q, k)
+    coins = quantum_graph_coins(q, k)
     phases = np.exp(1j * k * np.array([1.0, 0.4, 2.0]))
     assert np.abs(coins.block(1) + np.diag(phases)).max() <= 1e-15
 
@@ -305,7 +305,7 @@ def test_metric_coin_phase_sits_on_the_row_index():
     potentials = {(1, 2): 0.2, (1, 3): -0.5, (1, 4): 0.0}
     q = QuantumGraphParams.build(g, lengths, 0.8, potentials)
     k = 1.1
-    h = quantum_graph_coins(g, q, k).block(1)
+    h = quantum_graph_coins(q, k).block(1)
     core = 2.0 / (3.0 + 1j * 0.8 / k) * np.ones((3, 3)) - np.eye(3)
     for row, m in enumerate((2, 3, 4)):
         phase = np.exp(1j * q.length(1, m) * (k - q.arc_potential(1, m)))
@@ -317,7 +317,7 @@ def test_metric_coin_is_the_phased_scattering_block_exactly():
     # and -I at a Dirichlet vertex, entry for entry
     for g, q in metric_cases():
         for k in (0.9, 2.7):
-            coins = quantum_graph_coins(g, q, k)
+            coins = quantum_graph_coins(q, k)
             for j in g.vertices:
                 d, lam = g.degree(j), q.lam(j)
                 phases = np.array([np.exp(1j * q.length(j, m) * (k - q.arc_potential(j, m)))
@@ -337,7 +337,7 @@ def test_metric_coins_unitary_across_parameter_sweep():
             lengths = {e: float(rng.uniform(0.05, 5.0)) for e in g.edges}
             potentials = {e: float(rng.uniform(-2.0, 2.0)) for e in g.edges}
             q = QuantumGraphParams.build(g, lengths, lam, potentials)
-            coins = quantum_graph_coins(g, q, k)
+            coins = quantum_graph_coins(q, k)
             for v in g.vertices:
                 assert unitarity_defect(coins.block(v)) <= 1e-12
 
@@ -347,7 +347,7 @@ def test_metric_coins_reject_bad_wavenumber():
     q = QuantumGraphParams.build(g)
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
-            quantum_graph_coins(g, q, bad)
+            quantum_graph_coins(q, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +387,8 @@ def test_projector_uniform_weights_reproduce_metric_coins():
     q = generic_params(g, rng, dirichlet=True)
     k = 1.7
     uniform = VertexWeights.uniform(g)
-    a = projector_coins(g, q, uniform, k)
-    b = quantum_graph_coins(g, q, k)
+    a = projector_coins(q, uniform, k)
+    b = quantum_graph_coins(q, k)
     for v in g.vertices:
         assert np.abs(a.block(v) - b.block(v)).max() <= 1e-12
 
@@ -400,8 +400,8 @@ def test_projector_real_weights_zero_length_reproduce_szegedy():
                for v in g.vertices}
     weights = VertexWeights(g, vectors)
     q = QuantumGraphParams.build(g, lengths=0.0)
-    a = projector_coins(g, q, weights, 2.3)
-    b = szegedy_coins(g, t)
+    a = projector_coins(q, weights, 2.3)
+    b = szegedy_coins(t)
     for v in g.vertices:
         assert np.abs(a.block(v) - b.block(v)).max() <= 1e-12
 
@@ -410,7 +410,7 @@ def test_projector_degree_one_is_a_pure_phase():
     g = Graph.from_edges(2, [(1, 2)])
     q = QuantumGraphParams.build(g, lengths=1.2)
     weights = VertexWeights(g, {1: np.array([1.0]), 2: np.array([1.0])})
-    coins = projector_coins(g, q, weights, 0.9)
+    coins = projector_coins(q, weights, 0.9)
     assert abs(coins.block(1)[0, 0] - np.exp(1j * 1.2 * 0.9)) <= 1e-14
 
 
@@ -418,7 +418,7 @@ def test_projector_blocks_unitary_with_random_weights():
     rng = np.random.default_rng(15)
     g = star_graph(4)
     q = generic_params(g, rng, dirichlet=True)
-    coins = projector_coins(g, q, random_weights(g, rng), 0.6)
+    coins = projector_coins(q, random_weights(g, rng), 0.6)
     for v in g.vertices:
         assert unitarity_defect(coins.block(v)) <= 1e-12
 

@@ -81,7 +81,7 @@ def test_local_state_lives_on_one_origin_block():
 def test_zero_steps_returns_input_state():
     g = c4_graph()
     space = build_arc_space(g)
-    op = evolution(space, flip_flop_partition(g), grover_coins(g), "G")
+    op = evolution(flip_flop_partition(g), grover_coins(g), "G")
     s0 = point_mass(space, (1, 2))
     s1 = evolve(op, s0, 0)
     assert np.array_equal(s1.amplitudes, s0.amplitudes)
@@ -91,7 +91,7 @@ def test_zero_steps_returns_input_state():
 def test_k2_identity_walk_is_a_swap():
     g = k2()
     space = build_arc_space(g)
-    op = evolution(space, flip_flop_partition(g), identity_coins(g), "G")
+    op = evolution(flip_flop_partition(g), identity_coins(g), "G")
     s = point_mass(space, (1, 2))
     one = evolve(op, s, 1)
     assert one.amplitude((2, 1)) == 1.0 + 0.0j
@@ -106,7 +106,7 @@ def test_one_step_spread_with_half_reflection_coin():
     # of 2; with the degree-2 reflection coin all weight turns the corner
     g = bowtie_graph()
     space = build_arc_space(g)
-    op = evolution(space, flip_flop_partition(g), grover_coins(g), "A")
+    op = evolution(flip_flop_partition(g), grover_coins(g), "A")
     s = evolve(op, point_mass(space, (2, 1)), 1)
     assert s.amplitude((4, 2)) == 1.0 + 0.0j
     assert s.amplitude((1, 2)) == 0.0 + 0.0j
@@ -116,7 +116,7 @@ def test_one_step_spread_with_half_reflection_coin():
 def test_c4_g_type_one_step_keeps_mass_at_the_turned_vertex():
     g = c4_graph()
     space = build_arc_space(g)
-    op = evolution(space, flip_flop_partition(g), grover_coins(g), "G")
+    op = evolution(flip_flop_partition(g), grover_coins(g), "G")
     s = evolve(op, point_mass(space, (2, 1)), 1)
     assert s.amplitude((1, 4)) == 1.0 + 0.0j
     assert finding_probability(s)[0] == pytest.approx(1.0)
@@ -126,7 +126,7 @@ def test_norm_conserved_over_long_runs():
     rng = np.random.default_rng(17)
     g = c4_graph()
     space = build_arc_space(g)
-    op = evolution(space, random_partition(g, rng), random_unitary_coins(g, rng), "A")
+    op = evolution(random_partition(g, rng), random_unitary_coins(g, rng), "A")
     s = evolve(op, point_mass(space, (3, 4)), 100)
     assert abs(np.linalg.norm(s.amplitudes) - 1.0) <= 1e-10
     assert s.time == 100
@@ -153,7 +153,7 @@ def test_distributions_are_normalized():
     rng = np.random.default_rng(19)
     g = star_graph(4)
     space = build_arc_space(g)
-    op = evolution(space, flip_flop_partition(g), random_unitary_coins(g, rng), "G")
+    op = evolution(flip_flop_partition(g), random_unitary_coins(g, rng), "G")
     s = evolve(op, point_mass(space, (1, 3)), 13)
     probs = finding_probability(s)
     assert np.all(probs >= 0.0)
@@ -177,7 +177,7 @@ def test_probability_history_matches_stepwise_evolution(kind):
     rng = np.random.default_rng(29)
     g = bowtie_graph()
     space = build_arc_space(g)
-    op = evolution(space, random_partition(g, rng), random_unitary_coins(g, rng), kind)
+    op = evolution(random_partition(g, rng), random_unitary_coins(g, rng), kind)
     s = point_mass(space, (2, 4))
     history = np.array(list(probability_history(op, s, 12)))
     assert history.shape == (13, 4)
@@ -253,20 +253,18 @@ def test_nan_fails_every_norm_check():
 
 def test_zero_step_path_sum_is_the_origin_indicator():
     g = c4_graph()
-    space = build_arc_space(g)
     p = flip_flop_partition(g)
     coins = grover_coins(g)
     phi = np.array([1.0, 0.0])
-    assert path_sum_probability(space, p, coins, "G", 1, phi, 0, 1) == 1.0
-    assert path_sum_probability(space, p, coins, "G", 1, phi, 0, 3) == 0.0
+    assert path_sum_probability(p, coins, "G", 1, phi, 0, 1) == 1.0
+    assert path_sum_probability(p, coins, "G", 1, phi, 0, 3) == 0.0
 
 
 def test_k2_one_step_path_lands_on_the_other_vertex():
     g = k2()
-    space = build_arc_space(g)
     p = flip_flop_partition(g)
     coins = identity_coins(g)
-    assert path_sum_probability(space, p, coins, "G", 1, np.array([1.0]), 1, 2) == 1.0
+    assert path_sum_probability(p, coins, "G", 1, np.array([1.0]), 1, 2) == 1.0
 
 
 @pytest.mark.parametrize("kind", ["G", "A"])
@@ -278,7 +276,7 @@ def test_path_sum_matches_matrix_evolution(kind, make_graph):
     space = build_arc_space(g)
     for coins in (grover_coins(g), random_unitary_coins(g, rng)):
         p = random_partition(g, rng)
-        op = evolution(space, p, coins, kind)
+        op = evolution(p, coins, kind)
         origin = 1
         phi = rng.normal(size=g.degree(origin)) + 1j * rng.normal(size=g.degree(origin))
         phi = phi / np.linalg.norm(phi)
@@ -287,28 +285,26 @@ def test_path_sum_matches_matrix_evolution(kind, make_graph):
             evolved = evolve(op, state, steps)
             dist = finding_probability(evolved)
             for event in g.vertices:
-                direct = path_sum_probability(space, p, coins, kind, origin, phi,
+                direct = path_sum_probability(p, coins, kind, origin, phi,
                                               steps, event)
                 assert abs(direct - dist[event - 1]) <= 1e-10
 
 
 def test_path_sum_buckets_carry_the_full_state():
     g = bowtie_graph()
-    space = build_arc_space(g)
     p = flip_flop_partition(g)
     coins = grover_coins(g)
     phi = np.array([1.0, 0.0, 0.0])
-    buckets = path_sum_amplitudes(space, p, coins, "A", 1, phi, 3)
+    buckets = path_sum_amplitudes(p, coins, "A", 1, phi, 3)
     total = sum(float(np.linalg.norm(v) ** 2) for v in buckets.values())
     assert abs(total - 1.0) <= 1e-12
 
 
 def test_path_sum_step_cap():
     g = k2()
-    space = build_arc_space(g)
     p = flip_flop_partition(g)
     with pytest.raises(ValueError):
-        path_sum_probability(space, p, identity_coins(g), "G", 1,
+        path_sum_probability(p, identity_coins(g), "G", 1,
                              np.array([1.0]), 7, 1, cap=6)
 
 

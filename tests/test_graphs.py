@@ -1,5 +1,7 @@
 """Graphs, arc spaces, line digraphs, and cycle partitions."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from helpers import (
     reference_random_successors,
     reference_reverse_successors,
 )
+import qgwalk
 from qgwalk import (
     Graph,
     GraphValidationError,
@@ -493,7 +496,7 @@ def test_permutation_identity_when_equal():
     g = c4_graph()
     p = Partition.from_successors(g, C4_P1)
     for j in g.vertices:
-        table = partition_permutation(g, p, p, j)
+        table = partition_permutation(p, p, j)
         assert np.array_equal(table.matrix(g.neighbors(j)), np.eye(g.degree(j)))
 
 
@@ -502,7 +505,7 @@ def test_permutation_from_flip_flop_is_target_map():
     ff = flip_flop_partition(g)
     p2 = Partition.from_successors(g, C4_P2)
     for j in g.vertices:
-        table = partition_permutation(g, ff, p2, j)
+        table = partition_permutation(ff, p2, j)
         for i in g.neighbors(j):
             assert table.mapping[i] == p2.successor(i, j)
 
@@ -511,7 +514,7 @@ def test_permutation_c4_p2_to_p1_at_vertex_2():
     g = c4_graph()
     p1 = Partition.from_successors(g, C4_P1)
     p2 = Partition.from_successors(g, C4_P2)
-    table = partition_permutation(g, p2, p1, 2)
+    table = partition_permutation(p2, p1, 2)
     assert table.mapping == {1: 3, 3: 1}
     m = table.matrix(g.neighbors(2))
     assert np.array_equal(m, np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -523,6 +526,36 @@ def test_permutation_matrices_are_permutations():
     pa = random_partition(g, rng)
     pb = random_partition(g, rng)
     for j in g.vertices:
-        m = partition_permutation(g, pa, pb, j).matrix(g.neighbors(j))
+        m = partition_permutation(pa, pb, j).matrix(g.neighbors(j))
         assert np.array_equal(m @ m.T, np.eye(g.degree(j)))
         assert np.all((m == 0.0) | (m == 1.0))
+
+
+def test_permutation_rejects_partitions_of_two_graphs():
+    # the 4-leaf star has C4's arc count
+    with pytest.raises(ValueError, match="different graphs"):
+        partition_permutation(flip_flop_partition(c4_graph()), flip_flop_partition(star_graph(4)), 1)
+
+
+# ---------------------------------------------------------------------------
+# arguments carry their graph
+# ---------------------------------------------------------------------------
+
+# the types that hold a graph and its arc space (annotations are strings here)
+GRAPH_CARRIERS = {"Partition", "QuantumGraphParams", "TransitionMatrix", "EvolutionOperator",
+                  "StationaryVector", "EigenfunctionSample"}
+
+
+def test_no_function_takes_a_graph_that_another_argument_holds():
+    carrying, offenders = [], []
+    for name in dir(qgwalk):
+        fn = getattr(qgwalk, name)
+        if name.startswith("_") or not inspect.isfunction(fn):
+            continue
+        annotations = {p.annotation for p in inspect.signature(fn).parameters.values()}
+        if annotations & GRAPH_CARRIERS:
+            carrying.append(name)
+            if annotations & {"Graph", "ArcSpace"}:
+                offenders.append(name)
+    assert offenders == []
+    assert {"evolution", "scan_roots", "szegedy_spectrum", "sample_eigenfunction"} <= set(carrying)

@@ -60,7 +60,7 @@ def test_shift_is_a_permutation_following_the_partition():
     rng = np.random.default_rng(0)
     for _ in range(5):
         g, space, p, _ = random_instance(rng)
-        s = shift_operator(space, p)
+        s = shift_operator(p)
         perm = p.perm
         assert np.array_equal(s @ s.T, np.eye(space.size))
         assert np.all((s == 0.0) | (s == 1.0))
@@ -72,25 +72,24 @@ def test_shift_is_a_permutation_following_the_partition():
 
 def test_evolution_rejects_a_partition_of_another_graph():
     g = c4_graph()
-    space, coins = build_arc_space(g), grover_coins(g)
+    coins = grover_coins(g)
     for other in (complete_graph(4), star_graph(4)):  # the star has C4's arc count
         foreign = flip_flop_partition(other)
-        with pytest.raises(ValueError, match="different graph"):
-            evolution(space, foreign, coins)
+        with pytest.raises(ValueError, match="coin"):  # C4's coins, validated on the other graph
+            evolution(foreign, coins)
         with pytest.raises(ValueError, match="different graphs"):
             _permuted_coins(flip_flop_partition(g), foreign, coins)
 
 
 def test_flip_flop_shift_squares_to_identity():
     space = build_arc_space(c4_graph())
-    s = shift_operator(space, flip_flop_partition(space.graph))
+    s = shift_operator(flip_flop_partition(space.graph))
     assert np.array_equal(s @ s, np.eye(8))
 
 
 def test_single_cycle_shift_has_order_eight():
     g = c4_graph()
-    space = build_arc_space(g)
-    s = shift_operator(space, Partition.from_successors(g, C4_P3))
+    s = shift_operator(Partition.from_successors(g, C4_P3))
     power = np.eye(8)
     for n in range(1, 8):
         power = power @ s
@@ -300,7 +299,7 @@ def test_matrix_elements_match_entrywise_assembly(kind):
     rng = np.random.default_rng(13)
     for _ in range(6):
         g, space, p, coins = random_instance(rng)
-        fast = evolution(space, p, coins, kind).matrix
+        fast = evolution(p, coins, kind).matrix
         slow = entrywise_walk(space, p, coins, kind)
         assert np.abs(fast - slow).max() == 0.0
 
@@ -322,8 +321,8 @@ def test_matrix_is_the_coin_shift_product(kind):
     for g in mixed_degree_graphs(rng):
         space = build_arc_space(g)
         p, coins = random_partition(g, rng), random_unitary_coins(g, rng)
-        s, c = shift_operator(space, p), coin_operator(space, coins)
-        op = evolution(space, p, coins, kind)
+        s, c = shift_operator(p), coin_operator(space, coins)
+        op = evolution(p, coins, kind)
         assert np.array_equal(op.matrix, c @ s if kind == "G" else s @ c)
         assert op.matrix is op.matrix
 
@@ -334,7 +333,7 @@ def test_apply_matches_the_dense_matrix(kind):
     for g in mixed_degree_graphs(rng):
         space = build_arc_space(g)
         assert len({g.degree(v) for v in g.vertices}) >= 2
-        op = evolution(space, random_partition(g, rng), random_unitary_coins(g, rng), kind)
+        op = evolution(random_partition(g, rng), random_unitary_coins(g, rng), kind)
         x = rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size)
         x /= np.linalg.norm(x)
         assert np.abs(op.apply(x) - op.matrix @ x).max() <= 1e-13
@@ -353,20 +352,18 @@ def test_apply_matches_the_dense_matrix(kind):
 
 def test_unitarity_all_c4_partitions_all_families_both_kinds():
     g = c4_graph()
-    space = build_arc_space(g)
     rng = np.random.default_rng(21)
     families = coin_families(g, rng)
     for p in enumerate_partitions(g):
         for name, coins in families.items():
             for kind in ("G", "A"):
-                op = evolution(space, p, coins, kind)
+                op = evolution(p, coins, kind)
                 assert unitarity_defect(op.matrix) <= 1e-12, (name, kind)
 
 
 def test_unitary_norm_and_defect_basics():
     g = c4_graph()
-    space = build_arc_space(g)
-    u = evolution(space, flip_flop_partition(g), grover_coins(g), "G").matrix
+    u = evolution(flip_flop_partition(g), grover_coins(g), "G").matrix
     assert abs(operator_norm(u) - 1.0) <= 1e-12
     assert unitarity_defect(u) <= 1e-13
     assert unitarity_defect(0.5 * u) > 0.7
@@ -448,11 +445,11 @@ def test_operator_norm_of_walk_residuals_matches_the_dense_norm(monkeypatch):
     assert space.size >= _SPLIT_MIN_ROWS
     rng = np.random.default_rng(10)
     p, coins = random_partition(g, rng), random_unitary_coins(g, rng)
-    ug = evolution(space, p, coins, "G").matrix
+    ug = evolution(p, coins, "G").matrix
     ff = flip_flop_partition(g)
-    inverse = np.linalg.inv(evolution(space, ff, coins, "G").matrix)
+    inverse = np.linalg.inv(evolution(ff, coins, "G").matrix)
     for r in (ug.conj().T @ ug - np.eye(space.size),
-              inverse - evolution(space, ff, coins.dagger(), "A").matrix):
+              inverse - evolution(ff, coins.dagger(), "A").matrix):
         expected = np.linalg.norm(r, 2)
         shapes = _svd_shapes(monkeypatch)
         assert abs(operator_norm(r) - expected) <= 1e-14 * expected
@@ -513,22 +510,22 @@ def test_shift_conjugations_are_exact_gathers(make_graph):
     rng = np.random.default_rng(space.size)
     for _ in range(3):
         p, coins = random_partition(g, rng), random_unitary_coins(g, rng)
-        s = shift_operator(space, p)
-        ug = evolution(space, p, coins, "G").matrix
-        ua_op = evolution(space, p, coins, "A")
+        s = shift_operator(p)
+        ug = evolution(p, coins, "G").matrix
+        ua_op = evolution(p, coins, "A")
         perm, inv = ua_op.perm, np.argsort(ua_op.perm)
         ua = ua_op.matrix
 
         ua3 = np.linalg.matrix_power(ua, 3)
         assert np.array_equal(ua3[np.ix_(perm, perm)], s.T @ ua3 @ s)
         lhs = np.linalg.matrix_power(ug, 3)
-        assert (shift_duality_residual(evolution(space, p, coins, "G"), 3)
+        assert (shift_duality_residual(evolution(p, coins, "G"), 3)
                 == operator_norm(lhs - s.T @ ua3 @ s))
 
         k = _permuted_coins(ff, p, coins)
-        x = evolution(space, ff, k.dagger(), "A").matrix.conj().T
+        x = evolution(ff, k.dagger(), "A").matrix.conj().T
         assert np.array_equal(x[np.ix_(inv, inv)], s @ x @ s.T)
-        assert (a_type_reduction_residual(evolution(space, p, coins, "G"))
+        assert (a_type_reduction_residual(evolution(p, coins, "G"))
                 == operator_norm(ua - s @ x @ s.T))
 
         assert np.array_equal(ua[np.ix_(perm, perm)], s.T @ ua @ s)
@@ -536,26 +533,26 @@ def test_shift_conjugations_are_exact_gathers(make_graph):
         leaks = [np.abs(op[mask]).max(initial=0.0)
                  for op, mask in [(ug, off), (s.T @ ua @ s, off)]
                  + ([(ua, off.T)] if p.is_flip_flop else [])]
-        assert adjacency_support_report(evolution(space, p, coins, "G")).max_leak == max(leaks)
+        assert adjacency_support_report(evolution(p, coins, "G")).max_leak == max(leaks)
 
 
 @pytest.mark.parametrize("kind,other", [("G", "A"), ("A", "G")])
 def test_with_kind_gives_the_other_walk_without_a_rebuild(kind, other):
     rng = np.random.default_rng(36)
     for _ in range(5):
-        _, space, p, coins = random_instance(rng)
-        op = evolution(space, p, coins, kind)
+        _, _, p, coins = random_instance(rng)
+        op = evolution(p, coins, kind)
         twin = op.with_kind(other)
         assert op.with_kind(kind) is op
         assert twin.kind == other and twin.perm is op.perm and twin.coins is op.coins
-        assert np.array_equal(twin.matrix, evolution(space, p, coins, other).matrix)
+        assert np.array_equal(twin.matrix, evolution(p, coins, other).matrix)
 
 
 def test_residuals_take_a_walk_of_either_type():
     rng = np.random.default_rng(37)
     for _ in range(5):
-        _, space, p, coins = random_instance(rng)
-        ug, ua = evolution(space, p, coins, "G"), evolution(space, p, coins, "A")
+        _, _, p, coins = random_instance(rng)
+        ug, ua = evolution(p, coins, "G"), evolution(p, coins, "A")
         assert shift_duality_residual(ug, 3) == shift_duality_residual(ua, 3)
         assert g_type_reduction_residual(ug) == g_type_reduction_residual(ua)
         assert a_type_reduction_residual(ug) == a_type_reduction_residual(ua)
@@ -565,18 +562,16 @@ def test_residuals_take_a_walk_of_either_type():
 @pytest.mark.parametrize("kind", ["G", "A"])
 def test_evolution_rejects_a_non_unitary_coin_block(kind):
     g = star_graph(3)
-    space = build_arc_space(g)
     blocks = dict(random_unitary_coins(g, np.random.default_rng(54)).blocks)
     blocks[1] = blocks[1] @ np.diag([1.0, 1.0, 1.0 + 1e-9])
     with pytest.raises(ValueError, match="not unitary"):
-        evolution(space, flip_flop_partition(g), CoinSet(blocks), kind)
+        evolution(flip_flop_partition(g), CoinSet(blocks), kind)
 
 
 def test_evolution_rejects_bad_kind():
     g = c4_graph()
-    space = build_arc_space(g)
     with pytest.raises(ValueError):
-        evolution(space, flip_flop_partition(g), grover_coins(g), "X")
+        evolution(flip_flop_partition(g), grover_coins(g), "X")
 
 
 # ---------------------------------------------------------------------------
@@ -597,16 +592,16 @@ def test_permuted_coins_gather_equals_the_permutation_product():
         coins = random_unitary_coins(g, rng)
         k = _permuted_coins(base, target, coins)
         for j in g.vertices:
-            p_j = partition_permutation(g, base, target, j).matrix(g.neighbors(j))
+            p_j = partition_permutation(base, target, j).matrix(g.neighbors(j))
             assert np.array_equal(k.block(j), coins.block(j) @ p_j)
 
 
 def test_type_duality_through_shift_conjugation():
     rng = np.random.default_rng(31)
     for _ in range(10):
-        _, space, p, coins = random_instance(rng)
+        _, _, p, coins = random_instance(rng)
         for n in range(6):
-            assert shift_duality_residual(evolution(space, p, coins, "G"), n) <= 1e-10
+            assert shift_duality_residual(evolution(p, coins, "G"), n) <= 1e-10
 
 
 def test_flip_flop_inversion_swaps_type_and_daggers():
@@ -619,35 +614,34 @@ def test_flip_flop_inversion_swaps_type_and_daggers():
 def test_inversion_special_case_self_adjoint_coins():
     # with H = H^dag the inverse of the G-type walk is the A-type walk itself
     g = c4_graph()
-    space = build_arc_space(g)
     ff = flip_flop_partition(g)
     coins = grover_coins(g)
-    ug = evolution(space, ff, coins, "G").matrix
-    ua = evolution(space, ff, coins, "A").matrix
+    ug = evolution(ff, coins, "G").matrix
+    ua = evolution(ff, coins, "A").matrix
     assert operator_norm(np.linalg.inv(ug) - ua) <= 1e-12
 
 
 def test_partition_change_rebuilds_any_partition():
     rng = np.random.default_rng(33)
     for _ in range(10):
-        g, space, p, coins = random_instance(rng)
+        g, _, p, coins = random_instance(rng)
         p2 = random_partition(g, rng)
-        assert partition_change_residual(space, p, p2, coins) <= 1e-10
-        assert partition_change_residual(space, p, p, coins) <= 1e-14
+        assert partition_change_residual(p, p2, coins) <= 1e-10
+        assert partition_change_residual(p, p, coins) <= 1e-14
 
 
 def test_g_type_reduces_to_flip_flop_a_type():
     rng = np.random.default_rng(34)
     for _ in range(10):
-        _, space, p, coins = random_instance(rng)
-        assert g_type_reduction_residual(evolution(space, p, coins, "G")) <= 1e-10
+        _, _, p, coins = random_instance(rng)
+        assert g_type_reduction_residual(evolution(p, coins, "G")) <= 1e-10
 
 
 def test_a_type_reduces_to_flip_flop_a_type():
     rng = np.random.default_rng(35)
     for _ in range(10):
-        _, space, p, coins = random_instance(rng)
-        assert a_type_reduction_residual(evolution(space, p, coins, "G")) <= 1e-10
+        _, _, p, coins = random_instance(rng)
+        assert a_type_reduction_residual(evolution(p, coins, "G")) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -680,8 +674,8 @@ def test_adjacency_matrix_equals_the_per_arc_loop(g):
 def test_support_report_flip_flop():
     rng = np.random.default_rng(41)
     for _ in range(8):
-        g, space, _, coins = random_instance(rng)
-        report = adjacency_support_report(evolution(space, flip_flop_partition(g), coins, "G"))
+        g, _, _, coins = random_instance(rng)
+        report = adjacency_support_report(evolution(flip_flop_partition(g), coins, "G"))
         assert report.g_on_adjacency
         assert report.conjugated_a_on_adjacency
         assert report.flip_flop_a_on_transpose is True
@@ -691,10 +685,9 @@ def test_support_report_flip_flop():
 
 def test_support_report_generic_partition_skips_transpose_claim():
     g = c4_graph()
-    space = build_arc_space(g)
     p1 = Partition.from_successors(g, C4_P1)
     coins = random_unitary_coins(g, np.random.default_rng(42))
-    report = adjacency_support_report(evolution(space, p1, coins, "G"))
+    report = adjacency_support_report(evolution(p1, coins, "G"))
     assert report.g_on_adjacency
     assert report.conjugated_a_on_adjacency
     assert report.flip_flop_a_on_transpose is None
@@ -708,7 +701,7 @@ def test_raw_a_type_off_flip_flop_leaks_off_the_transpose():
     space = build_arc_space(g)
     p1 = Partition.from_successors(g, C4_P1)
     coins = random_unitary_coins(g, np.random.default_rng(43))
-    ua = evolution(space, p1, coins, "A").matrix
+    ua = evolution(p1, coins, "A").matrix
     off_mask = line_digraph_adjacency(space).T == 0.0
     assert np.abs(ua[off_mask]).max() > 0.1
 
@@ -717,6 +710,6 @@ def test_generic_haar_coins_fill_the_allowed_support():
     g = c4_graph()
     space = build_arc_space(g)
     coins = random_unitary_coins(g, np.random.default_rng(44))
-    u = evolution(space, flip_flop_partition(g), coins, "G").matrix
+    u = evolution(flip_flop_partition(g), coins, "G").matrix
     m = line_digraph_adjacency(space)
     assert np.abs(u[m == 1.0]).min() > 1e-6

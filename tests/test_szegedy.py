@@ -1,12 +1,16 @@
 """Spectral mapping from classical transition data to the reflection walk."""
 
+import math
+
 import numpy as np
 import pytest
 
 from helpers import arc_order_graphs, c4_graph
 from qgwalk import (
     Graph,
+    QuantumGraphParams,
     TransitionMatrix,
+    VertexWeights,
     build_arc_space,
     compare_spectra,
     complete_graph,
@@ -21,6 +25,7 @@ from qgwalk import (
     random_connected_graph,
     random_reversible_transition,
     random_unitary_coins,
+    reduced_secular_determinant,
     shift_operator,
     star_graph,
     szegedy_spectrum,
@@ -76,7 +81,7 @@ def test_lift_map_is_an_isometry():
     rng = np.random.default_rng(4)
     g = star_graph(3)
     t = random_reversible_transition(g, rng)
-    a = lift_map(build_arc_space(g), t)
+    a = lift_map(t)
     assert np.abs(a.conj().T @ a - np.eye(g.vertex_count)).max() <= 1e-14
 
 
@@ -88,7 +93,7 @@ def test_lift_map_equals_the_per_arc_loop(g):
     for j in g.vertices:
         for l in g.neighbors(j):
             reference[space.index_of((j, l)), j - 1] = np.sqrt(t.entry(j, l))
-    a = lift_map(space, t)
+    a = lift_map(t)
     assert a.dtype == reference.dtype and np.array_equal(a, reference)
 
 
@@ -96,9 +101,8 @@ def test_lift_map_conjugation_recovers_the_discriminant():
     rng = np.random.default_rng(5)
     g = c4_graph()
     t = random_reversible_transition(g, rng)
-    space = build_arc_space(g)
-    a = lift_map(space, t)
-    s = shift_operator(space, flip_flop_partition(g))
+    a = lift_map(t)
+    s = shift_operator(flip_flop_partition(g))
     d = a.conj().T @ s @ a
     assert np.abs(d - discriminant_matrix(t)).max() <= 1e-14
 
@@ -109,10 +113,10 @@ def test_walk_is_shift_times_reflection_about_the_lift():
     for g in (c4_graph(), star_graph(3), complete_graph(4)):
         t = random_reversible_transition(g, rng)
         space = build_arc_space(g)
-        a = lift_map(space, t)
-        s = shift_operator(space, flip_flop_partition(g))
+        a = lift_map(t)
+        s = shift_operator(flip_flop_partition(g))
         direct = s @ (2.0 * a @ a.conj().T - np.eye(space.size))
-        op = szegedy_walk(space, t)
+        op = szegedy_walk(t)
         assert op.kind == "A"
         assert np.abs(op.matrix - direct).max() <= 1e-13
 
@@ -124,39 +128,36 @@ def test_walk_is_shift_times_reflection_about_the_lift():
 
 def test_c4_uniform_spectrum_is_the_eighth_roots_pattern():
     g = c4_graph()
-    space = build_arc_space(g)
     t = TransitionMatrix.uniform(g)
-    result = szegedy_spectrum(space, t)
+    result = szegedy_spectrum(t)
     assert result.case == "unicyclic"
     expected = np.sort_complex(np.array([1, 1, -1, -1, 1j, 1j, -1j, -1j], dtype=complex))
     assert np.abs(np.sort_complex(np.round(result.eigenvalues, 9)) - expected).max() <= 1e-8
-    match = compare_spectra(result.eigenvalues, direct_spectrum(szegedy_walk(space, t)))
+    match = compare_spectra(result.eigenvalues, direct_spectrum(szegedy_walk(t)))
     assert match.ok and match.max_angle_error <= 1e-8
 
 
 def test_tree_case_star():
     g = star_graph(3)
-    space = build_arc_space(g)
     t = TransitionMatrix.uniform(g)
-    result = szegedy_spectrum(space, t)
+    result = szegedy_spectrum(t)
     assert result.case == "tree"
     assert len(result.eigenvalues) == 6
-    match = compare_spectra(result.eigenvalues, direct_spectrum(szegedy_walk(space, t)))
+    match = compare_spectra(result.eigenvalues, direct_spectrum(szegedy_walk(t)))
     assert match.ok
 
 
 def test_general_case_k4_adds_leftover_reflection_pairs():
     g = complete_graph(4)
-    space = build_arc_space(g)
     t = TransitionMatrix.uniform(g)
-    result = szegedy_spectrum(space, t)
+    result = szegedy_spectrum(t)
     assert result.case == "general"
     assert len(result.eigenvalues) == 12
     ones = np.sum(np.abs(result.eigenvalues - 1.0) <= 1e-9)
     minus = np.sum(np.abs(result.eigenvalues + 1.0) <= 1e-9)
     # two leftover +1 and two leftover -1 beyond the mapped nu = +/-1 images
     assert ones >= 2 and minus >= 2
-    match = compare_spectra(result.eigenvalues, direct_spectrum(szegedy_walk(space, t)))
+    match = compare_spectra(result.eigenvalues, direct_spectrum(szegedy_walk(t)))
     assert match.ok
 
 
@@ -169,10 +170,10 @@ def test_prediction_matches_direct_diagonalization(make_graph, uniform):
     space = build_arc_space(g)
     t = (TransitionMatrix.uniform(g) if uniform
          else random_reversible_transition(g, np.random.default_rng(11)))
-    result = szegedy_spectrum(space, t)
+    result = szegedy_spectrum(t)
     assert len(result.eigenvalues) == space.size
     assert np.abs(np.abs(result.eigenvalues) - 1.0).max() <= 1e-10
-    match = compare_spectra(result.eigenvalues, direct_spectrum(szegedy_walk(space, t)))
+    match = compare_spectra(result.eigenvalues, direct_spectrum(szegedy_walk(t)))
     assert match.ok and match.max_angle_error <= 1e-8
 
 
@@ -180,20 +181,42 @@ def test_random_graph_sweep():
     rng = np.random.default_rng(13)
     for _ in range(6):
         g = random_connected_graph(rng)
-        space = build_arc_space(g)
         t = random_reversible_transition(g, rng)
-        result = szegedy_spectrum(space, t)
-        match = compare_spectra(result.eigenvalues, direct_spectrum(szegedy_walk(space, t)))
+        result = szegedy_spectrum(t)
+        match = compare_spectra(result.eigenvalues, direct_spectrum(szegedy_walk(t)))
         assert match.ok and match.max_angle_error <= 1e-8
+
+
+def test_konno_sato_ties_the_walk_to_its_discriminant_and_the_reduced_determinant():
+    """det(I - z U) three ways: directly; as (1 - z^2)^extra det((1 + z^2) I - 2 z T),
+    extra = |E| - |V| and T the discriminant (Konno & Sato); and as the metric
+    graph's reduced determinant at lengths 2 pi, k = 1, lambda = 0 and weights
+    sqrt(p(j, .)), whose coins are then the walk's reflections."""
+    rng = np.random.default_rng(19)
+    graphs = [complete_graph(4), cycle_graph(5), star_graph(3), path_graph(4), complete_graph(6),
+              *(random_connected_graph(rng, 3, 7) for _ in range(3))]
+    for seed, g in enumerate(graphs):
+        t = random_reversible_transition(g, np.random.default_rng(seed))
+        u = szegedy_walk(t).matrix
+        n, extra = g.vertex_count, len(g.edges) - g.vertex_count
+        q = QuantumGraphParams.build(g, lengths=2.0 * math.pi)
+        w = VertexWeights(g, {j: np.sqrt([t.entry(j, l) for l in g.neighbors(j)])
+                              for j in g.vertices})
+        for z in (0.3 + 0.2j, -0.5 + 0.4j, 0.7 - 0.6j, 1.1 + 0.9j):
+            direct = np.linalg.det(np.eye(u.shape[0]) - z * u)
+            vertex_form = (1.0 - z * z) ** extra * np.linalg.det(
+                (1.0 + z * z) * np.eye(n) - 2.0 * z * discriminant_matrix(t))
+            reduced = reduced_secular_determinant(q, 1.0, z, w)
+            assert abs(vertex_form - direct) <= 1e-13 * abs(direct)
+            assert abs(reduced - direct) <= 1e-13 * abs(direct)
 
 
 def test_genuine_lifts_satisfy_the_eigenvalue_equation():
     rng = np.random.default_rng(17)
     g = complete_graph(4)
-    space = build_arc_space(g)
     t = random_reversible_transition(g, rng)
-    u = szegedy_walk(space, t).matrix
-    result = szegedy_spectrum(space, t)
+    u = szegedy_walk(t).matrix
+    result = szegedy_spectrum(t)
     genuine = [lift for lift in result.lifts if lift.genuine]
     assert genuine
     for lift in genuine:
@@ -213,10 +236,9 @@ FAST_PATH_GRAPHS = {
 def test_lift_residuals_from_apply_match_the_dense_walk(case):
     rng = np.random.default_rng(19)
     g = FAST_PATH_GRAPHS[case]()
-    space = build_arc_space(g)
     t = random_reversible_transition(g, rng)
-    u = szegedy_walk(space, t).matrix
-    result = szegedy_spectrum(space, t)
+    u = szegedy_walk(t).matrix
+    result = szegedy_spectrum(t)
     assert result.case == case
     genuine = [lift for lift in result.lifts if lift.genuine]
     assert genuine
@@ -240,8 +262,7 @@ def _spy_on_eigvals(monkeypatch) -> list:
 @pytest.mark.parametrize("case", sorted(FAST_PATH_GRAPHS))
 def test_real_walk_oracle_runs_real_and_matches_the_complex_solve(monkeypatch, case):
     g = FAST_PATH_GRAPHS[case]()
-    space = build_arc_space(g)
-    op = szegedy_walk(space, random_reversible_transition(g, np.random.default_rng(23)))
+    op = szegedy_walk(random_reversible_transition(g, np.random.default_rng(23)))
     complex_vals = np.linalg.eigvals(op.matrix)
     dtypes = _spy_on_eigvals(monkeypatch)
     real_vals = direct_spectrum(op)
@@ -253,8 +274,7 @@ def test_real_walk_oracle_runs_real_and_matches_the_complex_solve(monkeypatch, c
 
 def test_complex_walk_oracle_keeps_the_complex_solve(monkeypatch):
     g = complete_graph(5)
-    space = build_arc_space(g)
-    op = evolution(space, flip_flop_partition(g),
+    op = evolution(flip_flop_partition(g),
                    random_unitary_coins(g, np.random.default_rng(29)), "A")
     reference = np.linalg.eigvals(op.matrix)
     dtypes = _spy_on_eigvals(monkeypatch)
@@ -267,8 +287,7 @@ def test_degenerate_lifts_are_flagged_not_dropped():
     # at nu = +1 the uniform stationary profile is shift-invariant, so the
     # lifted direction collapses; it must still be reported
     g = c4_graph()
-    space = build_arc_space(g)
-    result = szegedy_spectrum(space, TransitionMatrix.uniform(g))
+    result = szegedy_spectrum(TransitionMatrix.uniform(g))
     collapsed = [lift for lift in result.lifts
                  if abs(lift.nu - 1.0) <= 1e-12 and not lift.genuine]
     assert collapsed
@@ -281,8 +300,7 @@ def test_degenerate_lifts_are_flagged_not_dropped():
 
 def test_direct_spectrum_of_the_swap_walk():
     g = Graph.from_edges(2, [(1, 2)])
-    space = build_arc_space(g)
-    op = evolution(space, flip_flop_partition(g), identity_coins(g), "A")
+    op = evolution(flip_flop_partition(g), identity_coins(g), "A")
     eig = direct_spectrum(op)
     assert np.allclose(sorted(eig.real), [-1.0, 1.0], atol=1e-12, rtol=0.0)
 

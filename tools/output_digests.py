@@ -19,7 +19,11 @@ checkout's, so two checkouts get the same inputs.  The jobs are:
   coin family (``identity``, ``grover``, ``random``, ``szegedy``,
   ``quantum-graph`` with a Dirichlet vertex, ``projector`` with non-uniform
   weights, ``explicit``) and ``verify`` with random coins, so that coins of
-  several sizes in one set are hashed on every route.
+  several sizes in one set are hashed on every route;
+* ``szegedy`` on two trees, a 5-leaf star with a seeded chain and a uniform
+  6-vertex path, whose spectra drop a copy of the discriminant's +1 and -1;
+* ``qg-eigenfunction`` of ``configs/k2_eigenfunction.json`` at k = 1.0, off
+  every root, which exits 1 and still writes its CSVs.
 
 It prints one line per output file, ``sha256 exit-code relative-path``,
 sorted by path; a job that writes no file prints ``- exit-code job-dir/``.
@@ -111,6 +115,20 @@ def mixed_degree_jobs() -> list:
     return jobs
 
 
+def tree_and_off_root_jobs() -> list:
+    """(name, command, config) for the Szegedy trees and the off-root eigenfunction."""
+    with open(os.path.join(ROOT, "configs", "k2_eigenfunction.json")) as fh:
+        off_root = json.load(fh)
+    off_root["eigenfunction"]["k"] = 1.0
+    return [
+        ("szegedy-star5", "szegedy",
+         {"graph": {"family": "star", "n": 6}, "szegedy": {"transition": {"random_seed": 3}}}),
+        ("szegedy-path6", "szegedy",
+         {"graph": {"family": "path", "n": 6}, "szegedy": {"transition": "uniform"}}),
+        ("eigenfunction-off-root", "qg-eigenfunction", off_root),
+    ]
+
+
 def _sha256(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -195,6 +213,8 @@ def main() -> int:
             runner.run(name, "partitions", runner.config_path(name, config))
         for name, command, config in mixed_degree_jobs():
             runner.run(f"mixed/{name}", command, runner.config_path(f"mixed-{name}", config))
+        for name, command, config in tree_and_off_root_jobs():
+            runner.run(f"extra/{name}", command, runner.config_path(f"extra-{name}", config))
         print("\n".join(runner.listing()))
     return 0
 
