@@ -23,7 +23,10 @@ checkout's, so two checkouts get the same inputs.  The jobs are:
 * ``szegedy`` on two trees, a 5-leaf star with a seeded chain and a uniform
   6-vertex path, whose spectra drop a copy of the discriminant's +1 and -1;
 * ``qg-eigenfunction`` of ``configs/k2_eigenfunction.json`` at k = 1.0, off
-  every root, which exits 1 and still writes its CSVs.
+  every root, which exits 1 and still writes its CSVs;
+* ``qg-scan`` of a Neumann interval of length pi at k = 1, 1.5, ..., 4, whose
+  grid hits the reduced determinant's poles at every integer k (``nan``
+  reduced columns there), then one ``qg-eigenfunction`` per root.
 
 It prints one line per output file, ``sha256 exit-code relative-path``,
 sorted by path; a job that writes no file prints ``- exit-code job-dir/``.
@@ -116,7 +119,8 @@ def mixed_degree_jobs() -> list:
 
 
 def tree_and_off_root_jobs() -> list:
-    """(name, command, config) for the Szegedy trees and the off-root eigenfunction."""
+    """(name, command, config) for the Szegedy trees, the off-root eigenfunction
+    and the pole-hitting scan."""
     with open(os.path.join(ROOT, "configs", "k2_eigenfunction.json")) as fh:
         off_root = json.load(fh)
     off_root["eigenfunction"]["k"] = 1.0
@@ -126,6 +130,9 @@ def tree_and_off_root_jobs() -> list:
         ("szegedy-path6", "szegedy",
          {"graph": {"family": "path", "n": 6}, "szegedy": {"transition": "uniform"}}),
         ("eigenfunction-off-root", "qg-eigenfunction", off_root),
+        ("scan-interval-poles", "qg-scan",
+         {"graph": {"family": "path", "n": 2}, "quantum_graph": {"lengths": math.pi},
+          "scan": {"k_min": 1.0, "k_max": 4.0, "grid_points": 7}}),
     ]
 
 
@@ -214,7 +221,11 @@ def main() -> int:
         for name, command, config in mixed_degree_jobs():
             runner.run(f"mixed/{name}", command, runner.config_path(f"mixed-{name}", config))
         for name, command, config in tree_and_off_root_jobs():
-            runner.run(f"extra/{name}", command, runner.config_path(f"extra-{name}", config))
+            path = runner.config_path(f"extra-{name}", config)
+            if command == "qg-scan":
+                runner.scan(f"extra/{name}", {"id": name, "config": config, "meta": {}}, path)
+            else:
+                runner.run(f"extra/{name}", command, path)
         print("\n".join(runner.listing()))
     return 0
 
