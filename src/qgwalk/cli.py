@@ -9,8 +9,13 @@ Subcommands (each reads a JSON config and writes into --out):
 * qg-eigenfunction  eigenfunction.csv, boundary.csv, equivalences.csv
 * partitions        partitions.csv
 
-Exit code 0 on success, 1 when a requested verification fails, 2 on invalid
-configuration or input.  Every CSV goes through one writer of preformatted
+Exit code 0 on success, 1 when a requested verification fails (qg-scan: a
+grid point whose finite reduced determinant is off the direct one by more
+than ``DET_TOL``, reported after both CSVs are written), 2 on invalid
+configuration or input.  The --out directory is made at the first CSV
+write, so a config error leaves none behind.
+
+Every CSV goes through one writer of preformatted
 text blocks.  Rows are formatted with %-templates (floats as %.17g,
 repr-faithful) and end in CRLF: ``evolve`` fills one template per step, which
 holds that step's row for every vertex, and the other commands format their
@@ -88,6 +93,9 @@ MAX_ARCS = 2000
 MAX_CSV_ROWS = 10**7
 # Rows per text block that ``_lines`` formats from a per-row template.
 _CHUNK_ROWS = 65536
+# Largest gap qg-scan allows between the reduced and the direct determinant,
+# relative to max(1, |det|), at a grid point off the reduced one's poles.
+DET_TOL = 1e-8
 
 
 class ConfigError(ValueError):
@@ -104,9 +112,14 @@ def _atomic_write_csv(path: str, header: list, blocks) -> None:
 
     A block is whole CSV lines ending in CRLF, as ``_lines`` formats them.
     They go into a temporary file that replaces ``path`` only once it is
-    complete.
+    complete.  The directory, ``--out``, is made here if it is missing, so a
+    run that fails before its first file leaves no directory behind.
     """
-    directory = os.path.dirname(path) or "."
+    directory = os.path.dirname(path)
+    try:
+        os.makedirs(directory, exist_ok=True)  # an empty --out fails here, as it should
+    except OSError as exc:
+        raise ConfigError(f"cannot use --out {directory!r}: {exc}") from None
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
@@ -540,6 +553,12 @@ def _cmd_qg_scan(args) -> int:
                       ["k", "indicator", "multiplicity"],
                       _lines("%.17g,%.17g,%d",
                              [(r.k, r.indicator, r.multiplicity) for r in scan.roots]))
+    finite = np.isfinite(reduced)  # NaN at the reduced determinant's poles
+    gaps = np.abs(dets - reduced)[finite] / np.maximum(1.0, np.abs(dets[finite]))
+    if gaps.size and not gaps.max() <= DET_TOL:
+        worst = int(np.argmax(gaps))  # the first NaN, if any
+        raise ArithmeticError(f"reduced determinant off the direct one by {gaps[worst]:.3e} "
+                              f"at k={float(scan.ks[finite][worst])!r}")
     return 0
 
 
@@ -647,10 +666,6 @@ def main(argv=None) -> int:
     if not getattr(args, "tol", 0.0) >= 0.0:  # NaN or negative fails every check
         parser.error(f"argument --tol: must be nonnegative, got {args.tol!r}")
     try:
-        try:
-            os.makedirs(args.out, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot use --out {args.out!r}: {exc}") from None
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -258,38 +258,45 @@ def _check_wavenumber(k: float) -> None:
         raise ValueError(f"wavenumber must be positive and finite, got {k}")
 
 
-def _scattering_block(d: int, lam: float, k: float) -> np.ndarray:
-    """Phase-free metric coin sigma(k) = (2 / (d + i lam/k)) J - I; -I at DIRICHLET."""
-    if lam == DIRICHLET:
-        return -np.eye(d, dtype=complex)
-    coeff = 2.0 / d if lam == 0.0 else 2.0 / (d + 1j * lam / k)
-    return coeff * np.ones((d, d)) - np.eye(d)
-
-
 def _check_weights(q: QuantumGraphParams, w: VertexWeights) -> None:
     if w.graph != q.graph:
         raise ValueError("weights belong to a different graph")
 
 
+def _vertex_cores(q: QuantumGraphParams, k: float, vertices: np.ndarray, arcs: np.ndarray,
+                  w: VertexWeights | None = None) -> np.ndarray:
+    """Phase-free metric coins of the vertices of one degree stack, one block each.
+
+    sigma_j(k) = (2 / (d + i lam/k)) J - I, or with weights w the projector
+    core (1 + e^{-i rho}) |a><a| - I; -I at a DIRICHLET vertex either way.
+    ``arcs`` holds the vertices' arcs, one row each, as ``degree_blocks`` does.
+    Each coefficient is a Python scalar: divided for a whole stack,
+    2 / (d + i lam/k) moves in its last bits.
+    """
+    d = arcs.shape[1]
+    lams = [q.lam(j) for j in vertices.tolist()]
+    if w is None:
+        coeff = [0.0 if lam == DIRICHLET else 2.0 / d if lam == 0.0 else 2.0 / (d + 1j * lam / k)
+                 for lam in lams]
+        shape = np.ones((d, d))
+    else:
+        coeff = [0.0 if lam == DIRICHLET else 1.0 + np.exp(-1j * boundary_phase(lam, d, k))
+                 for lam in lams]
+        a = w.arc_vector[arcs]
+        shape = a[:, :, None] * a.conj()[:, None, :]  # |a><a| of every vertex
+    cores = np.array(coeff, dtype=complex)[:, None, None] * shape - np.eye(d)
+    cores[[lam == DIRICHLET for lam in lams]] = -np.eye(d, dtype=complex)  # its zeros are -0.0
+    return cores
+
+
 def _metric_coins(q: QuantumGraphParams, k: float, w: VertexWeights | None = None) -> CoinSet:
-    """diag(arc phases) times sigma(k) at every vertex, or with weights w the
-    projector core (1 + e^{-i rho}) |a><a| - I at every non-DIRICHLET vertex."""
+    """diag(arc phases) times the ``_vertex_cores`` of every degree stack."""
     _check_wavenumber(k)
     if w is not None:
         _check_weights(q, w)
-
-    def core(j: int, d: int) -> np.ndarray:
-        lam = q.lam(j)
-        if w is None or lam == DIRICHLET:
-            return _scattering_block(d, lam, k)
-        a = w.vector(j)
-        return (1.0 + np.exp(-1j * boundary_phase(lam, d, k))) * np.outer(a, a.conj()) - np.eye(d)
-
     phases = q.propagation_phases(k)
-    # one scalar core per vertex: divided for a whole stack, 2 / (d + i lam/k) moves in its last bits
-    return CoinSet.from_stacks(
-        (vs, phases[arcs][:, :, None] * np.array([core(j, arcs.shape[1]) for j in vs.tolist()]))
-        for vs, arcs in q.arc_space.degree_blocks)
+    return CoinSet.from_stacks((vs, phases[arcs][:, :, None] * _vertex_cores(q, k, vs, arcs, w))
+                               for vs, arcs in q.arc_space.degree_blocks)
 
 
 def quantum_graph_coins(q: QuantumGraphParams, k: float) -> CoinSet:

@@ -123,7 +123,10 @@ def _pattern_components(mask: np.ndarray) -> tuple:
 
 
 def unitarity_defect(m: np.ndarray) -> float:
-    return operator_norm(m.conj().T @ m - np.eye(m.shape[0]))
+    """||m^dag m - I||_2, with 1 subtracted from the Gram diagonal in place."""
+    gram = m.conj().T @ m
+    gram.reshape(-1)[::len(gram) + 1] -= 1  # the diagonal of the fresh, C-ordered product
+    return operator_norm(gram)
 
 
 @dataclass(frozen=True, eq=False, init=False)

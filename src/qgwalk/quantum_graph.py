@@ -26,7 +26,14 @@ covariant outgoing flux at a vertex is +i k sum_j (a - b).
 ``reduced_secular_determinant`` evaluates det(I - t U(k)) through a
 vertex-sized determinant times explicit per-edge factors, computing its own
 phases and never assembling U; agreement with the direct determinant is an
-end-to-end check of the whole construction.
+end-to-end check of the whole construction.  It is the one-point call of
+``_reduced_determinants``, which takes a batch of k.
+
+``scan_roots`` evaluates its grid in chunks of at most
+``SCAN_CHUNK_ENTRIES`` complex entries (one k if a single I - U(k) is
+larger), so its memory is flat in the grid size.  Each k builds and
+validates its own U(k); each chunk takes one batched SVD, one batched det
+and one batched reduced determinant, bit for bit the per-k values.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from .coins import (
     VertexWeights,
     _check_wavenumber,
     _check_weights,
-    _scattering_block,
+    _vertex_cores,
     boundary_phase,
     projector_coins,
     quantum_graph_coins,
@@ -160,6 +167,10 @@ def _golden_minimize(f, lo: float, hi: float, xtol: float) -> tuple[float, float
 # Largest scan grid: every point is a dense SVD and determinant, so a grid
 # past this is a mistyped window or density, not a scan that could finish.
 MAX_GRID_POINTS = 10**6
+# Complex entries in one chunk's stack of I - U(k) (at least one k per chunk):
+# the scan takes one SVD, one det and one reduced determinant per chunk, and
+# its memory stays flat in the grid size.
+SCAN_CHUNK_ENTRIES = 2**14
 BRACKET_THRESHOLD = 0.1  # a grid minimum of the indicator under this is refined
 
 
@@ -169,7 +180,11 @@ def scan_roots(q: QuantumGraphParams, k_min: float, k_max: float,
     """Locate wavenumbers where U(k) has a unit eigenvalue.
 
     Sweeps the indicator on a uniform grid (default 2000 points per unit of
-    k), refines every local minimum under ``BRACKET_THRESHOLD`` by golden
+    k), with the direct and the reduced determinant (NaN at its poles) at
+    every point.  The grid goes in chunks of at most ``SCAN_CHUNK_ENTRIES``
+    entries of stacked I - U(k), one batched SVD, det and reduced determinant
+    per chunk, with values bit for bit those of one k at a time.  It then
+    refines every local minimum under ``BRACKET_THRESHOLD`` by golden
     section to ``refine_tol``, and accepts a root when the refined indicator
     is at most ``root_tol``.  Multiplicity counts singular values of
     I - U(k) below 1e-8.  A grid over ``MAX_GRID_POINTS`` points, given or
@@ -198,14 +213,18 @@ def scan_roots(q: QuantumGraphParams, k_min: float, k_max: float,
     indicators = np.empty(grid_points)
     dets = np.empty(grid_points, dtype=complex)
     reduced = np.empty(grid_points, dtype=complex)
-    for i, k in enumerate(ks):
-        gap, svals = _gap(q, k)
-        indicators[i] = svals[-1]
-        dets[i] = np.linalg.det(gap)
-        try:
-            reduced[i] = reduced_secular_determinant(q, float(k), 1.0, weights)
-        except PoleProximityError:
-            reduced[i] = complex(float("nan"), float("nan"))
+    size = q.arc_space.size
+    eye = np.eye(size)
+    chunk = max(1, SCAN_CHUNK_ENTRIES // (size * size))
+    for start in range(0, grid_points, chunk):
+        part = ks[start:start + chunk]
+        rows = slice(start, start + part.size)
+        stack = np.empty((part.size, size, size), dtype=complex)
+        for gap, k in zip(stack, part):
+            np.subtract(eye, _dense_walk(q, k), out=gap)  # the I - U(k) of _gap
+        indicators[rows] = np.linalg.svd(stack, compute_uv=False)[:, -1]
+        dets[rows] = np.linalg.det(stack)
+        reduced[rows] = _reduced_determinants(q, part, 1.0, weights)[0]
 
     # local minima under the threshold, bracketed by their grid neighbours
     left_ok = np.r_[True, indicators[1:] <= indicators[:-1]]
@@ -408,6 +427,49 @@ def characteristic_determinant(q: QuantumGraphParams, k: float, t: complex,
 POLE_GUARD = 1e-10  # a per-edge factor of the reduced determinant this near 0 is a pole
 
 
+def _reduced_determinants(q: QuantumGraphParams, ks: np.ndarray, t: complex,
+                          weights: VertexWeights) -> tuple[np.ndarray, np.ndarray]:
+    """det(I - t U(k)) at every k of ``ks`` by the reduced formula, and its per-edge factors.
+
+    The factors 1 - t^2 e^{2 i k L_e} come one row per k, edges in
+    ``q.graph.edges`` order.  A k with a factor within ``POLE_GUARD`` of zero
+    gets NaN and is left out of the rest of the formula.  All else is batched
+    except the boundary phases (a scalar ``math.atan`` each) and each row's
+    edge product times its core determinant, a 1-D ``np.prod`` and a Python
+    complex product: batched, those move in their last bits.
+    """
+    _check_weights(q, weights)
+    g, space = q.graph, q.arc_space
+    n = g.vertex_count
+    origin, terminus = space.origin - 1, space.terminus - 1
+
+    round_trip = np.exp(2j * ks[:, None] * q.arc_lengths)
+    delta = 1.0 - t * t * round_trip
+    edge_delta = delta[:, origin < terminus]  # the arcs u -> v with u < v are g.edges in order
+    live = np.flatnonzero(~(np.abs(edge_delta) < POLE_GUARD).any(axis=1))
+    ks, round_trip, delta = ks[live], round_trip[live], delta[live]
+
+    couplings = [(q.lam(j), d) for j, d in zip(g.vertices, space.degrees.tolist())]
+    rho = np.array([[boundary_phase(lam, d, k) for lam, d in couplings] for k in ks.tolist()])
+    mu = 1.0 + np.exp(-1j * rho.reshape(live.size, n))
+    mu[:, [lam == DIRICHLET for lam, _ in couplings]] = 0.0
+    alpha = weights.arc_vector
+    phase = np.exp(1j * q.arc_lengths * (ks[:, None] + q.arc_potentials))
+    big_t = np.zeros((live.size, n, n), dtype=complex)
+    alpha_rev = alpha[space.reverse]  # the weight of arc l -> i at the place of i -> l
+    big_t[:, origin, terminus] = mu[:, origin] * np.conj(alpha) * alpha_rev * phase / delta
+    big_d = np.zeros((live.size, n), dtype=complex)
+    np.add.at(big_d, (slice(None), origin), np.abs(alpha) ** 2 * round_trip / delta)  # arc order
+    diag = np.zeros((live.size, n, n), dtype=complex)
+    diag[:, np.arange(n), np.arange(n)] = mu * big_d
+
+    cores = np.linalg.det(np.eye(n) - t * big_t + t * t * diag)
+    out = np.full(len(edge_delta), complex(math.nan, math.nan))
+    for row, core in zip(live.tolist(), cores.tolist()):
+        out[row] = complex(np.prod(edge_delta[row])) * core
+    return out, edge_delta
+
+
 def reduced_secular_determinant(q: QuantumGraphParams, k: float, t: complex,
                                 weights: VertexWeights | None = None) -> complex:
     """det(I - t U(k)) via a vertex-sized determinant and per-edge factors.
@@ -422,37 +484,19 @@ def reduced_secular_determinant(q: QuantumGraphParams, k: float, t: complex,
         D(t)[i, i] = mu_i sum_l |alpha_i[l]|^2
                      e^{2 i k L_il} / (1 - t^2 e^{2 i k L_il})
 
-    Raises PoleProximityError, naming the first such edge of ``q.graph.edges``, when
+    The one-point call of the batched formula the scan uses.  Raises
+    PoleProximityError, naming the first such edge of ``q.graph.edges``, when
     a per-edge factor is within ``POLE_GUARD`` of zero: T and D divide by them.
     """
-    g = q.graph
     if weights is None:
-        weights = VertexWeights.uniform(g)
+        weights = VertexWeights.uniform(q.graph)
     _check_wavenumber(k)
-    _check_weights(q, weights)
-    n = g.vertex_count
-    origin, terminus = q.arc_space.origin - 1, q.arc_space.terminus - 1
-
-    round_trip = np.exp(2j * k * q.arc_lengths)
-    delta = 1.0 - t * t * round_trip
-    edge_delta = delta[origin < terminus]  # the arcs u -> v with u < v are g.edges in order
-    near = np.flatnonzero(np.abs(edge_delta) < POLE_GUARD)
+    value, edge_delta = _reduced_determinants(q, np.array([k], dtype=float), t, weights)
+    near = np.flatnonzero(np.abs(edge_delta[0]) < POLE_GUARD)
     if near.size:
-        raise PoleProximityError(f"edge {g.edges[near[0]]} factor |1 - t^2 e^(2ikL)| = "
-                                 f"{abs(edge_delta[near[0]]):.3e} under guard")
-
-    mu = np.array([0.0 if lam == DIRICHLET else 1.0 + np.exp(-1j * boundary_phase(lam, d, k))
-                   for lam, d in zip(map(q.lam, g.vertices), q.arc_space.degrees.tolist())])
-    alpha = weights.arc_vector
-    phase = np.exp(1j * q.arc_lengths * (k + q.arc_potentials))
-    big_t = np.zeros((n, n), dtype=complex)
-    alpha_rev = alpha[q.arc_space.reverse]  # the weight of arc l -> i at the place of i -> l
-    big_t[origin, terminus] = mu[origin] * np.conj(alpha) * alpha_rev * phase / delta
-    big_d = np.zeros(n, dtype=complex)
-    np.add.at(big_d, origin, np.abs(alpha) ** 2 * round_trip / delta)  # summed in arc order
-
-    core = np.eye(n) - t * big_t + t * t * np.diag(mu * big_d)
-    return complex(np.prod(edge_delta)) * complex(np.linalg.det(core))
+        raise PoleProximityError(f"edge {q.graph.edges[near[0]]} factor |1 - t^2 e^(2ikL)| = "
+                                 f"{abs(edge_delta[0, near[0]]):.3e} under guard")
+    return complex(value[0])
 
 
 def stationarity_equivalences(op: EvolutionOperator,
@@ -497,10 +541,10 @@ def scattering_factorization(q: QuantumGraphParams, k: float) -> ScatteringFacto
     (2 / (d_j + i lam_j / k)) J - I, or -I at a DIRICHLET vertex.  The
     returned residual is the spectral-norm defect of the factorization.
     """
-    g = q.graph
     u = _dense_walk(q, k)
-    sigma = CoinSet({j: _scattering_block(g.degree(j), q.lam(j), k) for j in g.vertices})
-    vertex_step = evolution(flip_flop_partition(g), sigma, "G")
+    sigma = CoinSet.from_stacks((vs, _vertex_cores(q, k, vs, arcs))
+                                for vs, arcs in q.arc_space.degree_blocks)
+    vertex_step = evolution(flip_flop_partition(q.graph), sigma, "G")
     phases = q.propagation_phases(k)
     residual = float(np.linalg.norm(u - phases[:, None] * vertex_step.matrix, 2))
     return ScatteringFactorization(vertex_step, phases, residual)

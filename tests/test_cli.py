@@ -1,6 +1,7 @@
 """Command-line driver: subcommands, exit codes, deterministic output."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -137,6 +138,35 @@ def test_scan_with_no_roots_leaves_only_the_header(tmp_path):
     config = dict(SCAN_CONFIG, scan={"k_min": 0.1, "k_max": 1.0})
     assert run(tmp_path, config, "qg-scan") == 0
     assert csv_lines(tmp_path, "roots.csv") == ["k,indicator,multiplicity"]
+
+
+def test_scan_exits_1_when_the_determinants_disagree(tmp_path, capsys, monkeypatch):
+    honest = cli.scan_roots
+
+    def planted(*args, **kwargs):
+        scan = honest(*args, **kwargs)
+        reduced = scan.reduced_determinants.copy()
+        reduced[7] += 2e-8 * max(1.0, abs(scan.determinants[7]))
+        return dataclasses.replace(scan, reduced_determinants=reduced)
+
+    monkeypatch.setattr(cli, "scan_roots", planted)
+    assert run(tmp_path, dict(SCAN_CONFIG, scan={"k_min": 3.0, "k_max": 3.3, "grid_points": 50}),
+               "qg-scan") == 1
+    k = float(np.linspace(3.0, 3.3, 50)[7])
+    assert capsys.readouterr().err == ("verification failure: reduced determinant off the "
+                                       f"direct one by 2.000e-08 at k={k!r}\n")
+    assert len(csv_lines(tmp_path, "scan.csv")) == 51
+    assert len(csv_lines(tmp_path, "roots.csv")) == 2
+
+
+def test_scan_skips_the_reduced_determinant_poles_in_its_gate(tmp_path):
+    # an interval of length pi puts a pole of the reduced determinant at every integer k
+    config = {"graph": {"family": "path", "n": 2}, "quantum_graph": {"lengths": math.pi},
+              "scan": {"k_min": 1.0, "k_max": 4.0, "grid_points": 7}}
+    assert run(tmp_path, config, "qg-scan") == 0
+    rows = [line.split(",") for line in csv_lines(tmp_path, "scan.csv")[1:]]
+    assert [float(k) for k, *_, re, im in rows if re == im == "nan"] == [1.0, 2.0, 3.0, 4.0]
+    assert len(csv_lines(tmp_path, "roots.csv")) == 5
 
 
 def test_eigenfunction_outputs(tmp_path):
@@ -378,6 +408,25 @@ def test_an_out_path_naming_a_file_is_a_config_error(tmp_path, capsys):
     assert main(["evolve", "--config", str(config), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot use --out {str(out)!r}: ")
     assert out.read_text() == ""
+
+
+def test_a_config_error_leaves_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "newdir"
+    missing = tmp_path / "missing.json"
+    assert main(["evolve", "--config", str(missing), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config: ")
+    assert not out.exists()
+
+
+def test_a_scan_into_a_file_is_a_config_error_after_the_scan(tmp_path, capsys):
+    # the directory is made at the first write, so the scan runs and then fails
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(SCAN_CONFIG, scan={"k_min": 3.0, "k_max": 3.3})))
+    out = tmp_path / "taken"
+    out.write_text("kept")
+    assert main(["qg-scan", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot use --out {str(out)!r}: ")
+    assert out.read_text() == "kept"
 
 
 def test_a_config_nested_too_deeply_is_a_config_error(tmp_path, capsys):

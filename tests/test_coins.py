@@ -329,6 +329,28 @@ def test_metric_coin_is_the_phased_scattering_block_exactly():
                 assert np.array_equal(coins.block(j), phases[:, None] * sigma)
 
 
+def test_coin_stacks_keep_the_bits_of_the_per_vertex_blocks():
+    # each degree stack is built at once from per-vertex scalar coefficients;
+    # every block keeps the per-vertex formula's bits, a Dirichlet -I's signed zeros too
+    rng = np.random.default_rng(16)
+    for g, q in metric_cases():
+        w = random_weights(g, rng)
+        for k in (0.9, np.float64(2.7)):
+            metric, projector = quantum_graph_coins(q, k), projector_coins(q, w, k)
+            for j in g.vertices:
+                d, lam, a = g.degree(j), q.lam(j), w.vector(j)
+                phases = q.propagation_phases(k)[q.arc_space.origin_slice(j)][:, None]
+                if lam == DIRICHLET:
+                    sigma = core = -np.eye(d, dtype=complex)
+                else:
+                    coeff = 2.0 / d if lam == 0.0 else 2.0 / (d + 1j * lam / k)
+                    sigma = coeff * np.ones((d, d)) - np.eye(d)
+                    core = ((1.0 + np.exp(-1j * boundary_phase(lam, d, k)))
+                            * np.outer(a, a.conj()) - np.eye(d))
+                assert metric.block(j).tobytes() == (phases * sigma).tobytes()
+                assert projector.block(j).tobytes() == (phases * core).tobytes()
+
+
 def test_metric_coins_unitary_across_parameter_sweep():
     rng = np.random.default_rng(8)
     g = star_graph(3)

@@ -43,7 +43,8 @@ from qgwalk import (
     stationarity_indicator,
     stationary_vector,
 )
-from qgwalk.quantum_graph import _dense_walk
+from qgwalk import quantum_graph
+from qgwalk.quantum_graph import _dense_walk, _gap
 
 K2 = Graph.from_edges(2, [(1, 2)])
 UNIT_INTERVAL = QuantumGraphParams.build(K2)
@@ -122,6 +123,42 @@ def test_scan_grid_indicators_equal_the_indicator_exactly():
     for _, q in metric_cases():
         scan = scan_roots(q, 0.5, 3.0, grid_points=25)
         assert [stationarity_indicator(q, k) for k in scan.ks] == scan.indicators.tolist()
+
+
+def _per_k_reference(q, ks):
+    """Indicators, direct and reduced determinants one k at a time, NaN at poles."""
+    indicators, dets, reduced = [], [], []
+    for k in ks:
+        gap, svals = _gap(q, k)
+        indicators.append(svals[-1])
+        dets.append(np.linalg.det(gap))
+        try:
+            reduced.append(reduced_secular_determinant(q, float(k), 1.0))
+        except PoleProximityError:
+            reduced.append(complex(math.nan, math.nan))
+    return np.array(indicators), np.array(dets), np.array(reduced)
+
+
+@pytest.mark.parametrize("case", ["star", "k4", "cycle30", "poles"])
+def test_chunked_scan_equals_the_per_k_evaluation_bit_for_bit(case, monkeypatch):
+    cases = dict(zip(["star", "k4"], ((q, 0.5, 3.0, 60) for _, q in metric_cases())))
+    cases["cycle30"] = (QuantumGraphParams.build(cycle_graph(30), lengths=0.1), 0.5, 1.0, 123)
+    # a pole of the reduced determinant at every integer k
+    cases["poles"] = (QuantumGraphParams.build(K2, lengths=math.pi), 1.0, 4.0, 7)
+    q, k_min, k_max, points = cases[case]
+    if case == "cycle30":  # several chunks, the last one short
+        chunk = quantum_graph.SCAN_CHUNK_ENTRIES // q.arc_space.size ** 2
+        assert 1 < chunk < points and points % chunk
+    scan = scan_roots(q, k_min, k_max, grid_points=points)
+    indicators, dets, reduced = _per_k_reference(q, scan.ks)
+    assert scan.indicators.tobytes() == indicators.tobytes()
+    assert scan.determinants.tobytes() == dets.tobytes()
+    poles = np.isnan(reduced)
+    assert np.array_equal(np.isnan(scan.reduced_determinants), poles)
+    assert scan.reduced_determinants[~poles].tobytes() == reduced[~poles].tobytes()
+    assert poles.any() == (case == "poles")
+    monkeypatch.setattr(quantum_graph, "SCAN_CHUNK_ENTRIES", 1)  # one k per chunk
+    assert scan_roots(q, k_min, k_max, grid_points=points).roots == scan.roots
 
 
 def test_interval_neumann_scan():
