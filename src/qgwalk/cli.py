@@ -9,11 +9,15 @@ Subcommands (each reads a JSON config and writes into --out):
 * qg-eigenfunction  eigenfunction.csv, boundary.csv, equivalences.csv
 * partitions        partitions.csv
 
-Exit code 0 on success, 1 when a requested verification fails (qg-scan: a
-grid point whose finite reduced determinant is off the direct one by more
-than ``DET_TOL``, reported after both CSVs are written), 2 on invalid
-configuration or input.  The --out directory is made at the first CSV
-write, so a config error leaves none behind.
+Exit code 0 on success, 1 when a requested verification fails, 2 on
+invalid configuration or input.  Besides the pass/fail columns, these
+agreements are gated once every CSV is written, with a ``verification
+failure:`` line: qg-scan, a grid point whose finite reduced determinant is
+off the direct one by more than ``DET_TOL``; szegedy, ``max_lift_residual``
+over --tol; qg-eigenfunction, the eigenfunction's ``symmetry_residual`` or
+``pp_wq_max_diff``, or the equivalences' ``max_spread``, over --tol.  The
+--out directory is made at the first CSV write, so a config error leaves
+none behind.
 
 Every CSV goes through one writer of preformatted
 text blocks.  Rows are formatted with %-templates (floats as %.17g,
@@ -522,6 +526,8 @@ def _cmd_szegedy(args) -> int:
                       _lines("%s,%d,%.17g,%d,%.17g,%s",
                              [(case, walk.size, match.max_angle_error, match.shift,
                                lift_residual, match.ok)]))
+    if not lift_residual <= args.tol:
+        raise ArithmeticError(f"max_lift_residual {lift_residual:.3e} exceeds --tol {args.tol:g}")
     return 0 if match.ok else 1
 
 
@@ -599,13 +605,20 @@ def _cmd_qg_eigenfunction(args) -> int:
                       _lines("%d,%s,%.17g,%s",
                              [(r.vertex, r.condition, r.residual, r.ok) for r in report.rows]))
     names = ["a_type", "g_type_dagger", "a_type_dagger_shifted", "g_type_shifted"]
+    spread = max(equiv) - min(equiv)
     _atomic_write_csv(os.path.join(args.out, "equivalences.csv"),
                       ["form", "defect"],
-                      _lines("%s,%.17g",
-                             [*zip(names, equiv), ("max_spread", max(equiv) - min(equiv))]))
+                      _lines("%s,%.17g", [*zip(names, equiv), ("max_spread", spread)]))
     if not root_ok:
         print(f"k={sv.k!r} is not a root: stationarity defect {sv.defect:.3e} "
               f"exceeds {root_tol:g}")
+    # two routes to one eigenfunction, and four forms of one defect, must agree at any k
+    off = [f"{name} {value:.3e}" for name, value in (
+        ("symmetry_residual", sample.symmetry_residual),
+        ("pp_wq_max_diff", sample.pp_wq_max_diff), ("max_spread", spread))
+        if not value <= args.tol]
+    if off:
+        raise ArithmeticError(f"{', '.join(off)} exceeds --tol {args.tol:g}")
     return 0 if (root_ok and report.ok) else 1
 
 

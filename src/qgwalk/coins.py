@@ -13,6 +13,13 @@ Families:
 Within the block at vertex j the row/column order is the ascending neighbour
 order of j.  The metric-graph coin carries, on its row index m, the
 propagation phase of the outgoing arc j -> m, from ``propagation_phases``.
+
+Both metric families have one formula, ``_metric_coin_stacks``: each degree
+stack's blocks at every k of a batch, the phases from one ``np.exp`` and the
+phase-free cores from ``_vertex_cores``.  A stack with no finite positive
+coupling has cores that do not depend on k (``_k_free_cores``); a caller
+that builds many batches, as ``scan_roots`` does, takes them once and passes
+them in.  ``quantum_graph_coins`` and ``projector_coins`` are its one-k call.
 """
 
 from __future__ import annotations
@@ -263,40 +270,73 @@ def _check_weights(q: QuantumGraphParams, w: VertexWeights) -> None:
         raise ValueError("weights belong to a different graph")
 
 
-def _vertex_cores(q: QuantumGraphParams, k: float, vertices: np.ndarray, arcs: np.ndarray,
-                  w: VertexWeights | None = None) -> np.ndarray:
-    """Phase-free metric coins of the vertices of one degree stack, one block each.
+def _vertex_cores(q: QuantumGraphParams, ks: np.ndarray, vertices: np.ndarray,
+                  arcs: np.ndarray, w: VertexWeights | None = None) -> np.ndarray:
+    """Phase-free metric coins of the vertices of one degree stack at every k of ``ks``.
 
     sigma_j(k) = (2 / (d + i lam/k)) J - I, or with weights w the projector
     core (1 + e^{-i rho}) |a><a| - I; -I at a DIRICHLET vertex either way.
-    ``arcs`` holds the vertices' arcs, one row each, as ``degree_blocks`` does.
-    Each coefficient is a Python scalar: divided for a whole stack,
-    2 / (d + i lam/k) moves in its last bits.
+    ``arcs`` holds the vertices' arcs, one row each, as ``degree_blocks`` does;
+    the result has shape (len(ks), n_d, d, d).  Each coefficient is a Python
+    scalar per vertex and k: divided for a whole stack, 2 / (d + i lam/k)
+    moves in its last bits.
     """
     d = arcs.shape[1]
     lams = [q.lam(j) for j in vertices.tolist()]
     if w is None:
-        coeff = [0.0 if lam == DIRICHLET else 2.0 / d if lam == 0.0 else 2.0 / (d + 1j * lam / k)
-                 for lam in lams]
+        def coefficient(lam, k):
+            return 2.0 / d if lam == 0.0 else 2.0 / (d + 1j * lam / k)
         shape = np.ones((d, d))
     else:
-        coeff = [0.0 if lam == DIRICHLET else 1.0 + np.exp(-1j * boundary_phase(lam, d, k))
-                 for lam in lams]
+        def coefficient(lam, k):  # rho = 0 at lam = 0
+            return 2.0 if lam == 0.0 else 1.0 + np.exp(-1j * boundary_phase(lam, d, k))
         a = w.arc_vector[arcs]
         shape = a[:, :, None] * a.conj()[:, None, :]  # |a><a| of every vertex
-    cores = np.array(coeff, dtype=complex)[:, None, None] * shape - np.eye(d)
-    cores[[lam == DIRICHLET for lam in lams]] = -np.eye(d, dtype=complex)  # its zeros are -0.0
+    coeff = [[0.0 if lam == DIRICHLET else coefficient(lam, k) for lam in lams]
+             for k in ks.tolist()]
+    cores = np.array(coeff, dtype=complex)[:, :, None, None] * shape - np.eye(d)
+    dirichlet = [lam == DIRICHLET for lam in lams]
+    if any(dirichlet):
+        cores[:, dirichlet] = -np.eye(d, dtype=complex)  # its zeros are -0.0
     return cores
 
 
-def _metric_coins(q: QuantumGraphParams, k: float, w: VertexWeights | None = None) -> CoinSet:
-    """diag(arc phases) times the ``_vertex_cores`` of every degree stack."""
-    _check_wavenumber(k)
+def _k_free_cores(q: QuantumGraphParams, w: VertexWeights | None = None) -> tuple:
+    """Per degree stack, its ``_vertex_cores`` as one (n_d, d, d) array when they
+    do not depend on k (every coupling 0 or DIRICHLET), else None."""
+    # any k will do for such a stack: none of its coefficients reads k
+    return tuple(None if any(q.lam(j) not in (0.0, DIRICHLET) for j in vs.tolist())
+                 else _vertex_cores(q, np.ones(1), vs, arcs, w)[0]
+                 for vs, arcs in q.arc_space.degree_blocks)
+
+
+def _metric_coin_stacks(q: QuantumGraphParams, ks: np.ndarray, w: VertexWeights | None = None,
+                        cores: tuple | None = None) -> list:
+    """Each degree stack's metric coins at every k of ``ks``: diag(arc phases) times its
+    ``_vertex_cores``, one (len(ks), n_d, d, d) array per stack.
+
+    The phases come from one ``np.exp`` over (len(ks), arcs), in the operation
+    order of ``propagation_phases``.  A caller that builds many batches passes
+    ``cores``, its ``_k_free_cores(q, w)``, and those stacks skip
+    ``_vertex_cores``; without it every stack takes ``_vertex_cores`` at every k.
+    """
+    for k in ks.tolist():
+        _check_wavenumber(k)
     if w is not None:
         _check_weights(q, w)
-    phases = q.propagation_phases(k)
-    return CoinSet.from_stacks((vs, phases[arcs][:, :, None] * _vertex_cores(q, k, vs, arcs, w))
-                               for vs, arcs in q.arc_space.degree_blocks)
+    if cores is None:
+        cores = (None,) * len(q.arc_space.degree_blocks)
+    phases = np.exp(1j * q.arc_lengths * (ks[:, None] - q.arc_potentials))
+    return [phases[:, arcs][..., None] * (_vertex_cores(q, ks, vs, arcs, w) if core is None
+                                          else core)
+            for (vs, arcs), core in zip(q.arc_space.degree_blocks, cores)]
+
+
+def _metric_coins(q: QuantumGraphParams, k: float, w: VertexWeights | None = None) -> CoinSet:
+    """The one-k call of ``_metric_coin_stacks``, as a coin set."""
+    stacks = _metric_coin_stacks(q, np.array([k], dtype=float), w)
+    return CoinSet.from_stacks((vs, hs[0])
+                               for (vs, _), hs in zip(q.arc_space.degree_blocks, stacks))
 
 
 def quantum_graph_coins(q: QuantumGraphParams, k: float) -> CoinSet:

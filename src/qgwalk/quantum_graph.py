@@ -31,9 +31,13 @@ end-to-end check of the whole construction.  It is the one-point call of
 
 ``scan_roots`` evaluates its grid in chunks of at most
 ``SCAN_CHUNK_ENTRIES`` complex entries (one k if a single I - U(k) is
-larger), so its memory is flat in the grid size.  Each k builds and
-validates its own U(k); each chunk takes one batched SVD, one batched det
-and one batched reduced determinant, bit for bit the per-k values.
+larger), so its memory is flat in the grid size.  Each chunk builds the
+metric coins of all its k in one ``_metric_coin_stacks`` call, whose stacks
+hold no more entries than the chunk's I - U(k); the k-free cores are taken
+once per scan and serve its refinement probes too.  Each k still gets its
+own coin set, views of those stacks, validated by ``coin_operator``; each
+chunk then takes one batched SVD, one batched det and one batched reduced
+determinant, bit for bit the per-k values.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ from .coins import (
     VertexWeights,
     _check_wavenumber,
     _check_weights,
+    _k_free_cores,
+    _metric_coin_stacks,
     _vertex_cores,
     boundary_phase,
     projector_coins,
@@ -90,15 +96,31 @@ def quantum_graph_walk(q: QuantumGraphParams, k: float) -> EvolutionOperator:
     return evolution(flip_flop_partition(q.graph), quantum_graph_coins(q, k), "G")
 
 
-def _dense_walk(q: QuantumGraphParams, k: float) -> np.ndarray:
-    """Dense U(k) = C(k) S: the coin operator's columns gathered through arc reversal."""
+def _dense_walks(q: QuantumGraphParams, ks: np.ndarray, cores: tuple | None = None):
+    """Dense U(k) = C(k) S of every k of ``ks``, one at a time: the coin operator's
+    columns gathered through arc reversal.
+
+    The coins of all of ``ks`` come from one ``_metric_coin_stacks`` call
+    (``cores`` as it takes them); each k's coin set is views of those stacks,
+    validated on its own by ``coin_operator``.
+    """
     space = q.arc_space
-    return coin_operator(space, quantum_graph_coins(q, k))[:, space.reverse]
+    stacks = _metric_coin_stacks(q, ks, cores=cores)
+    for i in range(len(ks)):
+        coins = CoinSet.from_stacks((vs, hs[i])
+                                    for (vs, _), hs in zip(space.degree_blocks, stacks))
+        yield coin_operator(space, coins)[:, space.reverse]
 
 
-def _gap(q: QuantumGraphParams, k: float) -> tuple[np.ndarray, np.ndarray]:
+def _dense_walk(q: QuantumGraphParams, k: float, cores: tuple | None = None) -> np.ndarray:
+    """Dense U(k), the one-k call of ``_dense_walks``."""
+    return next(_dense_walks(q, np.array([k], dtype=float), cores))
+
+
+def _gap(q: QuantumGraphParams, k: float,
+         cores: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """I - U(k) and its singular values, largest first."""
-    gap = np.eye(q.arc_space.size) - _dense_walk(q, k)
+    gap = np.eye(q.arc_space.size) - _dense_walk(q, k, cores)
     return gap, np.linalg.svd(gap, compute_uv=False)
 
 
@@ -182,15 +204,17 @@ def scan_roots(q: QuantumGraphParams, k_min: float, k_max: float,
     Sweeps the indicator on a uniform grid (default 2000 points per unit of
     k), with the direct and the reduced determinant (NaN at its poles) at
     every point.  The grid goes in chunks of at most ``SCAN_CHUNK_ENTRIES``
-    entries of stacked I - U(k), one batched SVD, det and reduced determinant
-    per chunk, with values bit for bit those of one k at a time.  It then
-    refines every local minimum under ``BRACKET_THRESHOLD`` by golden
-    section to ``refine_tol``, and accepts a root when the refined indicator
-    is at most ``root_tol``.  Multiplicity counts singular values of
-    I - U(k) below 1e-8.  A grid over ``MAX_GRID_POINTS`` points, given or
-    defaulted, is rejected before anything is allocated, and so are a
-    ``refine_tol`` that is not positive and a ``root_tol`` that is negative or
-    NaN, which would reject every candidate.
+    entries of stacked I - U(k), one batch of coins and one batched SVD, det
+    and reduced determinant per chunk, with values bit for bit those of one
+    k at a time.  It then refines every local minimum under
+    ``BRACKET_THRESHOLD`` by golden section to ``refine_tol``, keeps the grid
+    point instead when its indicator is lower (a root on the grid), and
+    accepts a root when the indicator is at most ``root_tol``.  Multiplicity
+    counts singular values of I - U(k) below 1e-8.  A grid over
+    ``MAX_GRID_POINTS`` points, given or defaulted, is rejected before
+    anything is allocated, and so are a ``refine_tol`` that is not positive
+    and a ``root_tol`` that is negative or NaN, which would reject every
+    candidate.
     """
     if not (0.0 < k_min < k_max < math.inf):
         raise ValueError("need 0 < k_min < k_max < inf")
@@ -215,13 +239,14 @@ def scan_roots(q: QuantumGraphParams, k_min: float, k_max: float,
     reduced = np.empty(grid_points, dtype=complex)
     size = q.arc_space.size
     eye = np.eye(size)
+    cores = _k_free_cores(q)  # for every chunk and refinement probe of this scan
     chunk = max(1, SCAN_CHUNK_ENTRIES // (size * size))
     for start in range(0, grid_points, chunk):
         part = ks[start:start + chunk]
         rows = slice(start, start + part.size)
         stack = np.empty((part.size, size, size), dtype=complex)
-        for gap, k in zip(stack, part):
-            np.subtract(eye, _dense_walk(q, k), out=gap)  # the I - U(k) of _gap
+        for gap, walk in zip(stack, _dense_walks(q, part, cores)):
+            np.subtract(eye, walk, out=gap)  # the I - U(k) of _gap
         indicators[rows] = np.linalg.svd(stack, compute_uv=False)[:, -1]
         dets[rows] = np.linalg.det(stack)
         reduced[rows] = _reduced_determinants(q, part, 1.0, weights)[0]
@@ -230,14 +255,16 @@ def scan_roots(q: QuantumGraphParams, k_min: float, k_max: float,
     left_ok = np.r_[True, indicators[1:] <= indicators[:-1]]
     right_ok = np.r_[indicators[:-1] <= indicators[1:], True]
     minima = np.flatnonzero(~(indicators >= BRACKET_THRESHOLD) & left_ok & right_ok)
-    candidates = zip(ks[np.maximum(minima - 1, 0)], ks[np.minimum(minima + 1, grid_points - 1)])
 
     found = []
-    for lo, hi in candidates:
-        k_star, val = _golden_minimize(lambda k: float(_gap(q, k)[1][-1]),
-                                       float(lo), float(hi), refine_tol)
+    for i in minima.tolist():
+        lo, hi = float(ks[max(i - 1, 0)]), float(ks[min(i + 1, grid_points - 1)])
+        k_star, val = _golden_minimize(lambda k: float(_gap(q, k, cores)[1][-1]),
+                                       lo, hi, refine_tol)
+        if indicators[i] < val:  # golden section never probes the grid point itself
+            k_star, val = float(ks[i]), float(indicators[i])
         if val <= root_tol:
-            svals = _gap(q, k_star)[1]
+            svals = _gap(q, k_star, cores)[1]
             found.append(Root(k_star, val, int(np.sum(svals <= 1e-8))))
 
     found.sort(key=lambda r: r.k)
@@ -434,9 +461,10 @@ def _reduced_determinants(q: QuantumGraphParams, ks: np.ndarray, t: complex,
     The factors 1 - t^2 e^{2 i k L_e} come one row per k, edges in
     ``q.graph.edges`` order.  A k with a factor within ``POLE_GUARD`` of zero
     gets NaN and is left out of the rest of the formula.  All else is batched
-    except the boundary phases (a scalar ``math.atan`` each) and each row's
-    edge product times its core determinant, a 1-D ``np.prod`` and a Python
-    complex product: batched, those move in their last bits.
+    except the boundary phases of coupled vertices (a scalar ``math.atan``
+    each per k; 0.0 at lam = 0, as ``boundary_phase`` gives it, once per call)
+    and each row's edge product times its core determinant, a 1-D ``np.prod``
+    and a Python complex product: batched, those move in their last bits.
     """
     _check_weights(q, weights)
     g, space = q.graph, q.arc_space
@@ -449,10 +477,14 @@ def _reduced_determinants(q: QuantumGraphParams, ks: np.ndarray, t: complex,
     live = np.flatnonzero(~(np.abs(edge_delta) < POLE_GUARD).any(axis=1))
     ks, round_trip, delta = ks[live], round_trip[live], delta[live]
 
-    couplings = [(q.lam(j), d) for j, d in zip(g.vertices, space.degrees.tolist())]
-    rho = np.array([[boundary_phase(lam, d, k) for lam, d in couplings] for k in ks.tolist()])
-    mu = 1.0 + np.exp(-1j * rho.reshape(live.size, n))
-    mu[:, [lam == DIRICHLET for lam, _ in couplings]] = 0.0
+    lams, degrees = [q.lam(j) for j in g.vertices], space.degrees.tolist()
+    dirichlet = [lam == DIRICHLET for lam in lams]
+    coupled = [i for i, lam in enumerate(lams) if lam not in (0.0, DIRICHLET)]
+    rho = np.zeros((live.size, n))  # boundary_phase at lam = 0; mu is 0 at DIRICHLET
+    for row, k in zip(rho, ks.tolist()):
+        row[coupled] = [boundary_phase(lams[i], degrees[i], k) for i in coupled]
+    mu = 1.0 + np.exp(-1j * rho)
+    mu[:, dirichlet] = 0.0
     alpha = weights.arc_vector
     phase = np.exp(1j * q.arc_lengths * (ks[:, None] + q.arc_potentials))
     big_t = np.zeros((live.size, n, n), dtype=complex)
@@ -542,7 +574,7 @@ def scattering_factorization(q: QuantumGraphParams, k: float) -> ScatteringFacto
     returned residual is the spectral-norm defect of the factorization.
     """
     u = _dense_walk(q, k)
-    sigma = CoinSet.from_stacks((vs, _vertex_cores(q, k, vs, arcs))
+    sigma = CoinSet.from_stacks((vs, _vertex_cores(q, np.array([k], dtype=float), vs, arcs)[0])
                                 for vs, arcs in q.arc_space.degree_blocks)
     vertex_step = evolution(flip_flop_partition(q.graph), sigma, "G")
     phases = q.propagation_phases(k)

@@ -159,6 +159,47 @@ def test_scan_exits_1_when_the_determinants_disagree(tmp_path, capsys, monkeypat
     assert len(csv_lines(tmp_path, "roots.csv")) == 2
 
 
+def test_szegedy_exits_1_when_a_lift_residual_exceeds_tol(tmp_path, capsys, monkeypatch):
+    honest = cli.szegedy_spectrum
+
+    def planted(t):
+        result = honest(t)
+        lifts = list(result.lifts)
+        i = next(i for i, lift in enumerate(lifts) if lift.genuine)
+        lifts[i] = dataclasses.replace(lifts[i], residual=2e-8)
+        return dataclasses.replace(result, lifts=tuple(lifts))
+
+    monkeypatch.setattr(cli, "szegedy_spectrum", planted)
+    assert run(tmp_path, SZEGEDY_CONFIG, "szegedy") == 1
+    assert capsys.readouterr().err == ("verification failure: max_lift_residual 2.000e-08 "
+                                       "exceeds --tol 1e-08\n")
+    assert len(csv_lines(tmp_path, "spectrum.csv")) == 9
+    matching = csv_lines(tmp_path, "matching.csv")[1].split(",")
+    assert matching[4] == "2e-08" and matching[5] == "True"  # the spectra still agree
+
+
+EIGEN_GATES = ["symmetry_residual", "pp_wq_max_diff", "max_spread"]
+
+
+@pytest.mark.parametrize("gate", EIGEN_GATES)
+def test_eigenfunction_exits_1_when_an_agreement_exceeds_tol(tmp_path, capsys, monkeypatch, gate):
+    if gate == "max_spread":
+        honest = cli.stationarity_equivalences
+        monkeypatch.setattr(cli, "stationarity_equivalences",
+                            lambda op, a: (honest(op, a)[0] + 2e-8, *honest(op, a)[1:]))
+    else:
+        honest = cli.sample_eigenfunction
+        monkeypatch.setattr(cli, "sample_eigenfunction", lambda sv, samples: dataclasses.replace(
+            honest(sv, samples), **{gate: 2e-8}))
+    assert run(tmp_path, EIGEN_CONFIG, "qg-eigenfunction") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"verification failure: {gate} 2.0") and err.endswith(
+        " exceeds --tol 1e-08\n"), err
+    assert [name for name in EIGEN_GATES if name in err] == [gate]
+    assert all(line.endswith(",True") for line in csv_lines(tmp_path, "boundary.csv")[1:])
+    assert len(csv_lines(tmp_path, "equivalences.csv")) == 6
+
+
 def test_scan_skips_the_reduced_determinant_poles_in_its_gate(tmp_path):
     # an interval of length pi puts a pole of the reduced determinant at every integer k
     config = {"graph": {"family": "path", "n": 2}, "quantum_graph": {"lengths": math.pi},

@@ -25,6 +25,7 @@ from qgwalk import (
     szegedy_coins,
     unitarity_defect,
 )
+from qgwalk.coins import _k_free_cores, _metric_coin_stacks, _vertex_cores
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +330,21 @@ def test_metric_coin_is_the_phased_scattering_block_exactly():
                 assert np.array_equal(coins.block(j), phases[:, None] * sigma)
 
 
+def _per_vertex_blocks(q, w, k, j):
+    """The metric and projector blocks at j by the scalar per-vertex formulas,
+    and their phase-free cores."""
+    d, lam, a = q.graph.degree(j), q.lam(j), w.vector(j)
+    phases = q.propagation_phases(k)[q.arc_space.origin_slice(j)][:, None]
+    if lam == DIRICHLET:
+        sigma = core = -np.eye(d, dtype=complex)
+    else:
+        coeff = 2.0 / d if lam == 0.0 else 2.0 / (d + 1j * lam / k)
+        sigma = coeff * np.ones((d, d)) - np.eye(d)
+        core = ((1.0 + np.exp(-1j * boundary_phase(lam, d, k)))
+                * np.outer(a, a.conj()) - np.eye(d))
+    return phases * sigma, phases * core, sigma, core
+
+
 def test_coin_stacks_keep_the_bits_of_the_per_vertex_blocks():
     # each degree stack is built at once from per-vertex scalar coefficients;
     # every block keeps the per-vertex formula's bits, a Dirichlet -I's signed zeros too
@@ -338,17 +354,59 @@ def test_coin_stacks_keep_the_bits_of_the_per_vertex_blocks():
         for k in (0.9, np.float64(2.7)):
             metric, projector = quantum_graph_coins(q, k), projector_coins(q, w, k)
             for j in g.vertices:
-                d, lam, a = g.degree(j), q.lam(j), w.vector(j)
-                phases = q.propagation_phases(k)[q.arc_space.origin_slice(j)][:, None]
-                if lam == DIRICHLET:
-                    sigma = core = -np.eye(d, dtype=complex)
-                else:
-                    coeff = 2.0 / d if lam == 0.0 else 2.0 / (d + 1j * lam / k)
-                    sigma = coeff * np.ones((d, d)) - np.eye(d)
-                    core = ((1.0 + np.exp(-1j * boundary_phase(lam, d, k)))
-                            * np.outer(a, a.conj()) - np.eye(d))
-                assert metric.block(j).tobytes() == (phases * sigma).tobytes()
-                assert projector.block(j).tobytes() == (phases * core).tobytes()
+                sigma, core, _, _ = _per_vertex_blocks(q, w, k, j)
+                assert metric.block(j).tobytes() == sigma.tobytes()
+                assert projector.block(j).tobytes() == core.tobytes()
+
+
+def _batched_coin_cases():
+    star = star_graph(4)
+    kirchhoff = QuantumGraphParams.build(
+        star, lengths={(1, 2): 1.3, (1, 3): 0.6, (1, 4): 2.1, (1, 5): 0.9},
+        potentials={(1, 2): 0.25, (1, 3): -0.4, (1, 4): 0.0, (1, 5): 1.1})
+    return [*metric_cases(), (star, kirchhoff)]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["star", "k4", "kirchhoff_star"])
+def test_batched_coin_stacks_keep_the_bits_at_every_k(case):
+    # one _metric_coin_stacks call over many k: every block at every k is the
+    # per-vertex formula's, with the k-free cores taken here or held by the caller
+    g, q = _batched_coin_cases()[case]
+    w = random_weights(g, np.random.default_rng(19 + case))
+    ks = np.array([0.37, 0.9, 2.7, 11.5, 0.9])
+    blocks = q.arc_space.degree_blocks
+    for weights in (None, w):
+        held = _k_free_cores(q, weights)
+        assert [c is None for c in held] == [
+            any(q.lam(j) not in (0.0, DIRICHLET) for j in vs.tolist()) for vs, _ in blocks]
+        for stacks in (_metric_coin_stacks(q, ks, weights),
+                       _metric_coin_stacks(q, ks, weights, cores=held)):
+            for (vs, arcs), hs in zip(blocks, stacks):
+                assert hs.shape == (ks.size, vs.size, arcs.shape[1], arcs.shape[1])
+                for k, stack in zip(ks.tolist(), hs):
+                    for j, h in zip(vs.tolist(), stack):
+                        sigma, core, _, _ = _per_vertex_blocks(q, w, k, j)
+                        assert h.tobytes() == (sigma if weights is None else core).tobytes()
+        for vs, arcs in blocks:
+            cores = _vertex_cores(q, ks, vs, arcs, weights)
+            for k, stack in zip(ks.tolist(), cores):
+                for j, h in zip(vs.tolist(), stack):
+                    *_, sigma, core = _per_vertex_blocks(q, w, k, j)
+                    assert h.tobytes() == np.asarray(sigma if weights is None else core,
+                                                     dtype=complex).tobytes()
+
+
+def test_a_dirichlet_core_beside_a_coupled_vertex_keeps_its_signed_zeros():
+    # the star's degree-1 stack holds leaves with couplings 0, 2.5 and DIRICHLET
+    g, q = metric_cases()[0]
+    vs, arcs = q.arc_space.degree_blocks[0]
+    assert sorted(q.lam(j) for j in vs.tolist()) == [0.0, 2.5, DIRICHLET]
+    ks = np.array([0.5, 1.5, 4.0])
+    dirichlet = vs.tolist().index(4)
+    for weights in (None, random_weights(g, np.random.default_rng(23))):
+        cores = _vertex_cores(q, ks, vs, arcs, weights)[:, dirichlet]
+        assert cores.tobytes() == np.stack([-np.eye(1, dtype=complex)] * ks.size).tobytes()
+        assert np.signbit(cores.imag).all()
 
 
 def test_metric_coins_unitary_across_parameter_sweep():

@@ -161,6 +161,16 @@ def test_chunked_scan_equals_the_per_k_evaluation_bit_for_bit(case, monkeypatch)
     assert scan_roots(q, k_min, k_max, grid_points=points).roots == scan.roots
 
 
+def test_a_root_on_a_grid_point_is_reported_at_that_point():
+    # an interval of length pi has its roots at the integers, every one a grid
+    # point here; golden section alone stops about 1e-11 off each of them
+    q = QuantumGraphParams.build(K2, lengths=math.pi)
+    scan = scan_roots(q, 1.0, 4.0, grid_points=7)
+    assert [(r.k, r.multiplicity) for r in scan.roots] == [(1.0, 1), (2.0, 1), (3.0, 1), (4.0, 1)]
+    assert [r.indicator for r in scan.roots] == scan.indicators[::2].tolist()
+    assert max(r.indicator for r in scan.roots) < 1e-15
+
+
 def test_interval_neumann_scan():
     scan = scan_roots(UNIT_INTERVAL, 0.1, 10.0)
     expected = interval_roots(1.0, 10.0)
