@@ -9,15 +9,20 @@ Subcommands (each reads a JSON config and writes into --out):
 * qg-eigenfunction  eigenfunction.csv, boundary.csv, equivalences.csv
 * partitions        partitions.csv
 
-Exit code 0 on success, 1 when a requested verification fails, 2 on
-invalid configuration or input.  Besides the pass/fail columns, these
-agreements are gated once every CSV is written, with a ``verification
-failure:`` line: qg-scan, a grid point whose finite reduced determinant is
-off the direct one by more than ``DET_TOL``; szegedy, ``max_lift_residual``
-over --tol; qg-eigenfunction, the eigenfunction's ``symmetry_residual`` or
-``pp_wq_max_diff``, or the equivalences' ``max_spread``, over --tol.  The
---out directory is made at the first CSV write, so a config error leaves
-none behind.
+Each command returns the checks it failed, one text each, and ``main`` alone
+turns them into the exit code: 0 when there are none; 1 with one
+``verification failure:`` line on stderr per failed check; 2 with one
+``error:`` line for an invalid config or input, or an output file that
+cannot be written.  The checks, made once every CSV is written: verify, each
+identity's residual over --tol; szegedy, ``max_angle_error`` or
+``max_lift_residual`` over --tol; qg-scan, a grid point whose finite reduced
+determinant is off the direct one by more than ``DET_TOL``;
+qg-eigenfunction, an off-root k, the boundary rows over --tol (one line, for
+the worst), and the eigenfunction's ``symmetry_residual`` or
+``pp_wq_max_diff``, or the equivalences' ``max_spread``, over --tol.  A
+library self-check that stops a run (an ``ArithmeticError``) is one failed
+check too.  The --out directory is made at the first CSV write, so a config
+error leaves none behind.
 
 Every CSV goes through one writer of preformatted
 text blocks.  Rows are formatted with %-templates (floats as %.17g,
@@ -60,6 +65,7 @@ from .graphs import (
     cycle_graph,
     enumerate_partitions,
     flip_flop_partition,
+    partition_count,
     path_graph,
     random_partition,
     star_graph,
@@ -117,23 +123,27 @@ def _atomic_write_csv(path: str, header: list, blocks) -> None:
     A block is whole CSV lines ending in CRLF, as ``_lines`` formats them.
     They go into a temporary file that replaces ``path`` only once it is
     complete.  The directory, ``--out``, is made here if it is missing, so a
-    run that fails before its first file leaves no directory behind.
+    run that fails before its first file leaves no directory behind.  A file
+    that cannot be written is a ConfigError, and the temporary file goes
+    whatever fails.
     """
     directory = os.path.dirname(path)
     try:
         os.makedirs(directory, exist_ok=True)  # an empty --out fails here, as it should
     except OSError as exc:
         raise ConfigError(f"cannot use --out {directory!r}: {exc}") from None
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(",".join(header) + "\r\n")
             fh.writelines(blocks)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _lines(fmt: str, rows):
@@ -423,7 +433,7 @@ def _build_walk(g: Graph, cfg: dict, seed: int, default_coins: str = "grover"):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_evolve(args) -> int:
+def _cmd_evolve(args) -> list[str]:
     cfg = _load_config(args.config, {"graph", "walk", "evolve", "quantum_graph"})
     g = _build_graph(cfg)
     p, coins, kind = _build_walk(g, cfg, args.seed)
@@ -464,10 +474,10 @@ def _cmd_evolve(args) -> int:
                       ["step", "vertex", "probability"],
                       (str(step).join(parts) % tuple(probs.tolist())
                        for step, probs in enumerate(history)))
-    return 0
+    return []
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> list[str]:
     cfg = _load_config(args.config, {"graph", "walk", "verify", "quantum_graph"})
     g = _build_graph(cfg)
     section = _section(cfg, "verify", required=False)
@@ -497,10 +507,11 @@ def _cmd_verify(args) -> int:
     _atomic_write_csv(os.path.join(args.out, "identities.csv"),
                       ["identity", "residual", "tolerance", "pass"],
                       _lines("%s,%.17g,%.17g,%s", rows))
-    return 0 if all(ok for *_, ok in rows) else 1
+    return [f"{name} residual {residual:.3e} exceeds --tol {args.tol:g}"
+            for name, residual, _, ok in rows if not ok]
 
 
-def _cmd_szegedy(args) -> int:
+def _cmd_szegedy(args) -> list[str]:
     cfg = _load_config(args.config, {"graph", "szegedy"})
     g = _build_graph(cfg)
     section = _section(cfg, "szegedy", required=False)
@@ -526,12 +537,12 @@ def _cmd_szegedy(args) -> int:
                       _lines("%s,%d,%.17g,%d,%.17g,%s",
                              [(case, walk.size, match.max_angle_error, match.shift,
                                lift_residual, match.ok)]))
-    if not lift_residual <= args.tol:
-        raise ArithmeticError(f"max_lift_residual {lift_residual:.3e} exceeds --tol {args.tol:g}")
-    return 0 if match.ok else 1
+    return [f"{name} {value:.3e} exceeds --tol {args.tol:g}" for name, value, ok in (
+        ("max_angle_error", match.max_angle_error, match.ok),
+        ("max_lift_residual", lift_residual, lift_residual <= args.tol)) if not ok]
 
 
-def _cmd_qg_scan(args) -> int:
+def _cmd_qg_scan(args) -> list[str]:
     cfg = _load_config(args.config, {"graph", "quantum_graph", "scan"})
     g = _build_graph(cfg)
     q = _build_qg(g, cfg)
@@ -563,12 +574,12 @@ def _cmd_qg_scan(args) -> int:
     gaps = np.abs(dets - reduced)[finite] / np.maximum(1.0, np.abs(dets[finite]))
     if gaps.size and not gaps.max() <= DET_TOL:
         worst = int(np.argmax(gaps))  # the first NaN, if any
-        raise ArithmeticError(f"reduced determinant off the direct one by {gaps[worst]:.3e} "
-                              f"at k={float(scan.ks[finite][worst])!r}")
-    return 0
+        return [f"reduced determinant off the direct one by {gaps[worst]:.3e} "
+                f"at k={float(scan.ks[finite][worst])!r}"]
+    return []
 
 
-def _cmd_qg_eigenfunction(args) -> int:
+def _cmd_qg_eigenfunction(args) -> list[str]:
     cfg = _load_config(args.config, {"graph", "quantum_graph", "eigenfunction"})
     g = _build_graph(cfg)
     q = _build_qg(g, cfg)
@@ -585,7 +596,6 @@ def _cmd_qg_eigenfunction(args) -> int:
     samples = _int(section.get("samples_per_edge", 33), "eigenfunction.samples_per_edge")
     _check_rows(samples * len(g.edges), "eigenfunction.samples_per_edge")
     sv = stationary_vector(q, _float(section["k"], "eigenfunction.k"), root_tol=math.inf)
-    root_ok = sv.defect <= root_tol
     sample = sample_eigenfunction(sv, samples)
     report = boundary_condition_report(sample, args.tol)
     # the four-way check expects the A-type stationary vector: the flip-flop
@@ -609,25 +619,31 @@ def _cmd_qg_eigenfunction(args) -> int:
     _atomic_write_csv(os.path.join(args.out, "equivalences.csv"),
                       ["form", "defect"],
                       _lines("%s,%.17g", [*zip(names, equiv), ("max_spread", spread)]))
-    if not root_ok:
-        print(f"k={sv.k!r} is not a root: stationarity defect {sv.defect:.3e} "
-              f"exceeds {root_tol:g}")
+    failures = [] if sv.defect <= root_tol else [
+        f"k={sv.k!r} is not a root: stationarity defect {sv.defect:.3e} exceeds {root_tol:g}"]
+    bad = [r for r in report.rows if not r.ok]
+    if bad:
+        worst = max(bad, key=lambda r: r.residual)
+        failures.append(f"boundary residual {worst.residual:.3e} exceeds --tol {args.tol:g} "
+                        f"(condition {worst.condition} at vertex {worst.vertex}, "
+                        f"worst of {len(bad)} failing rows)")
     # two routes to one eigenfunction, and four forms of one defect, must agree at any k
-    off = [f"{name} {value:.3e}" for name, value in (
+    return failures + [f"{name} {value:.3e} exceeds --tol {args.tol:g}" for name, value in (
         ("symmetry_residual", sample.symmetry_residual),
         ("pp_wq_max_diff", sample.pp_wq_max_diff), ("max_spread", spread))
         if not value <= args.tol]
-    if off:
-        raise ArithmeticError(f"{', '.join(off)} exceeds --tol {args.tol:g}")
-    return 0 if (root_ok and report.ok) else 1
 
 
-def _cmd_partitions(args) -> int:
+def _cmd_partitions(args) -> list[str]:
     cfg = _load_config(args.config, {"graph", "partitions"})
     g = _build_graph(cfg)
     section = _section(cfg, "partitions", required=False)
     _check_keys(section, {"cap"}, "partitions")
-    parts = enumerate_partitions(g, cap=_int(section.get("cap", 1_000_000), "partitions.cap"))
+    cap = _int(section.get("cap", 1_000_000), "partitions.cap")
+    count = partition_count(g)
+    if count <= cap:  # one row per partition, so bound the rows before enumerating them
+        _check_rows(count, "partitions.cap")
+    parts = enumerate_partitions(g, cap=cap)
     rows = []
     for i, p in enumerate(parts):
         lengths = sorted((len(c) for c in p.cycles), reverse=True)
@@ -635,7 +651,7 @@ def _cmd_partitions(args) -> int:
     _atomic_write_csv(os.path.join(args.out, "partitions.csv"),
                       ["index", "cycle_count", "cycle_lengths", "is_flip_flop"],
                       _lines("%d,%d,%s,%s", rows))
-    return 0
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -674,18 +690,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: 0, or 1 with one line per failed check, or 2 with one error line."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "tol", 0.0) >= 0.0:  # NaN or negative fails every check
         parser.error(f"argument --tol: must be nonnegative, got {args.tol!r}")
     try:
-        return _COMMANDS[args.command](args)
+        failures = _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
+    except ArithmeticError as exc:  # a library self-check that stopped the run
+        failures = [str(exc)]
+    for failure in failures:
+        print(f"verification failure: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -33,13 +33,11 @@ __all__ = [
     "Arc",
     "Graph",
     "ArcSpace",
-    "LineDigraph",
     "Partition",
     "PermutationTable",
     "GraphValidationError",
     "PartitionCapError",
     "build_arc_space",
-    "line_digraph",
     "flip_flop_partition",
     "enumerate_partitions",
     "partition_count",
@@ -290,33 +288,6 @@ def build_arc_space(g: Graph) -> ArcSpace:
         space = ArcSpace(g, tuple(sorted([*g.edges, *((v, u) for u, v in g.edges)])))
         g.__dict__["_arc_space"] = weakref.ref(space)
     return space
-
-
-@dataclass(frozen=True)
-class LineDigraph:
-    """Line digraph: vertices are arcs, arcs are composable pairs.
-
-    ((u, v), (v, w)) is an arc for every w adjacent to v, including the
-    back-turn w = u.
-    """
-
-    vertices: tuple[Arc, ...]
-    arcs: tuple[tuple[Arc, Arc], ...]
-
-    @cached_property
-    def _out(self) -> dict:
-        out: dict[Arc, list[Arc]] = {a: [] for a in self.vertices}
-        for a, b in self.arcs:
-            out[a].append(b)
-        return {a: tuple(bs) for a, bs in out.items()}
-
-    def out_neighbors(self, arc: Arc) -> tuple[Arc, ...]:
-        return self._out[tuple(arc)]
-
-
-def line_digraph(g: Graph) -> LineDigraph:
-    arcs = build_arc_space(g).arcs
-    return LineDigraph(arcs, tuple(((u, v), (v, w)) for u, v in arcs for w in g.neighbors(v)))
 
 
 # ---------------------------------------------------------------------------

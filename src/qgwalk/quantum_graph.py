@@ -352,11 +352,11 @@ class EigenfunctionSample:
     pp_wq_max_diff: float
 
 
-def _pointwise_value(q: QuantumGraphParams, k: float, a_fwd: complex, a_rev: complex,
-                     i: int, j: int, x: float) -> complex:
-    length = q.length(i, j)
-    fwd = a_fwd * np.exp(1j * (k - q.arc_potential(i, j)) * x)
-    rev = a_rev * np.exp(1j * (k - q.arc_potential(j, i)) * (length - x))
+def _pointwise_value(k: float, length: float, pot_fwd: float, pot_rev: float,
+                     a_fwd: complex, a_rev: complex, x: float) -> complex:
+    """The eigenfunction at ``x`` along an arc: its wave plus the reverse arc's, one scalar."""
+    fwd = a_fwd * np.exp(1j * (k - pot_fwd) * x)
+    rev = a_rev * np.exp(1j * (k - pot_rev) * (length - x))
     return fwd + rev
 
 
@@ -376,16 +376,17 @@ def sample_eigenfunction(sv: StationaryVector, samples_per_edge: int = 33) -> Ei
         length = float(q.arc_lengths[fwd])
         xs = np.linspace(0.0, length, samples_per_edge)
         a_fwd, a_rev = complex(a[fwd]), complex(a[rev])
-        vals = np.array([_pointwise_value(q, sv.k, a_fwd, a_rev, u, v, float(x))
+        pot_fwd, pot_rev = float(q.arc_potentials[fwd]), float(q.arc_potentials[rev])
+        vals = np.array([_pointwise_value(sv.k, length, pot_fwd, pot_rev, a_fwd, a_rev, float(x))
                          for x in xs])
         # vectorized route: Psi = D1(x) a + D2(x) (reversal a)
-        d1 = np.exp(1j * (sv.k - q.arc_potentials[fwd]) * xs)
-        d2 = np.exp(1j * (sv.k - q.arc_potentials[rev]) * (length - xs))
+        d1 = np.exp(1j * (sv.k - pot_fwd) * xs)
+        d2 = np.exp(1j * (sv.k - pot_rev) * (length - xs))
         vec_vals = a_fwd * d1 + a_rev * d2
         wq_diff = max(wq_diff, float(np.abs(vals - vec_vals).max()))
         # the reverse arc parameterized from v must retrace the same values
-        rev_vals = np.array([_pointwise_value(q, sv.k, a_rev, a_fwd, v, u, float(length - x))
-                             for x in xs])
+        rev_vals = np.array([_pointwise_value(sv.k, length, pot_rev, pot_fwd, a_rev, a_fwd,
+                                              float(length - x)) for x in xs])
         symmetry = max(symmetry, float(np.abs(vals - rev_vals).max()))
         edge_xs[(u, v)] = xs
         edge_values[(u, v)] = vals

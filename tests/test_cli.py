@@ -113,6 +113,16 @@ def test_verify_fails_under_an_impossible_tolerance(tmp_path):
     assert any(line.endswith(",False") for line in lines[1:])
 
 
+def test_verify_names_each_failing_identity(tmp_path, capsys):
+    assert run(tmp_path, VERIFY_CONFIG, "verify", "--tol", "0") == 1
+    rows = [line.split(",") for line in csv_lines(tmp_path, "identities.csv")[1:]]
+    failing = [(name, float(residual)) for name, residual, _, ok in rows if ok == "False"]
+    assert failing
+    assert capsys.readouterr().err.splitlines() == [
+        f"verification failure: {name} residual {residual:.3e} exceeds --tol 0"
+        for name, residual in failing]
+
+
 def test_szegedy_writes_spectrum_and_matching(tmp_path):
     assert run(tmp_path, SZEGEDY_CONFIG, "szegedy") == 0
     spectrum = csv_lines(tmp_path, "spectrum.csv")
@@ -178,6 +188,47 @@ def test_szegedy_exits_1_when_a_lift_residual_exceeds_tol(tmp_path, capsys, monk
     assert matching[4] == "2e-08" and matching[5] == "True"  # the spectra still agree
 
 
+def plant_a_rotated_spectrum(monkeypatch, angle):
+    """Turn every eigenvalue that ``direct_spectrum`` returns by ``angle``."""
+    honest = cli.direct_spectrum
+    monkeypatch.setattr(cli, "direct_spectrum", lambda walk: honest(walk) * np.exp(1j * angle))
+
+
+def test_szegedy_exits_1_when_the_spectra_disagree(tmp_path, capsys, monkeypatch):
+    plant_a_rotated_spectrum(monkeypatch, 2e-8)
+    assert run(tmp_path, SZEGEDY_CONFIG, "szegedy") == 1
+    assert capsys.readouterr().err == ("verification failure: max_angle_error 2.000e-08 "
+                                       "exceeds --tol 1e-08\n")
+    assert csv_lines(tmp_path, "matching.csv")[1].endswith(",False")
+
+
+def test_szegedy_names_both_failed_checks(tmp_path, capsys, monkeypatch):
+    plant_a_rotated_spectrum(monkeypatch, 2e-8)
+    honest = cli.szegedy_spectrum
+
+    def planted(t):
+        result = honest(t)
+        return dataclasses.replace(result, lifts=tuple(
+            dataclasses.replace(lift, residual=3e-8) for lift in result.lifts))
+
+    monkeypatch.setattr(cli, "szegedy_spectrum", planted)
+    assert run(tmp_path, SZEGEDY_CONFIG, "szegedy") == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "verification failure: max_angle_error 2.000e-08 exceeds --tol 1e-08",
+        "verification failure: max_lift_residual 3.000e-08 exceeds --tol 1e-08"]
+
+
+def test_a_library_arithmetic_error_is_a_named_verification_failure(tmp_path, capsys,
+                                                                    monkeypatch):
+    def off_circle(walk):
+        raise ArithmeticError("eigenvalue modulus off the unit circle by 1.000e-03")
+
+    monkeypatch.setattr(cli, "direct_spectrum", off_circle)
+    assert run(tmp_path, SZEGEDY_CONFIG, "szegedy") == 1
+    assert capsys.readouterr() == ("", "verification failure: eigenvalue modulus off the unit "
+                                       "circle by 1.000e-03\n")
+
+
 EIGEN_GATES = ["symmetry_residual", "pp_wq_max_diff", "max_spread"]
 
 
@@ -225,12 +276,23 @@ def test_eigenfunction_outputs(tmp_path):
         "max_spread"]
 
 
-def test_eigenfunction_off_root_exits_one_but_still_reports(tmp_path):
+def test_eigenfunction_off_root_exits_one_but_still_reports(tmp_path, capsys):
     config = dict(EIGEN_CONFIG,
                   eigenfunction={"k": 2.5, "samples_per_edge": 21, "root_tol": 1e-6})
     assert run(tmp_path, config, "qg-eigenfunction") == 1
-    boundary = csv_lines(tmp_path, "boundary.csv")
-    assert any(line.endswith(",False") for line in boundary[1:])
+    failing = [line.split(",") for line in csv_lines(tmp_path, "boundary.csv")[1:]
+               if line.endswith(",False")]
+    assert failing[0][:2] == ["0", "I"]  # the stationarity defect is over --tol too
+    defect = float(failing[0][2])
+    # the off-root line and one summary of the failing boundary rows, on stderr only
+    vertex, condition, residual, _ = max(failing, key=lambda row: float(row[2]))
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"verification failure: k=2.5 is not a root: stationarity defect {defect:.3e} "
+        "exceeds 1e-06",
+        f"verification failure: boundary residual {float(residual):.3e} exceeds --tol 1e-08 "
+        f"(condition {condition} at vertex {vertex}, worst of {len(failing)} failing rows)"]
 
 
 def test_partitions_enumeration(tmp_path):
@@ -470,6 +532,15 @@ def test_a_scan_into_a_file_is_a_config_error_after_the_scan(tmp_path, capsys):
     assert out.read_text() == "kept"
 
 
+def test_an_unwritable_output_file_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "partitions.csv").mkdir()
+    assert run(tmp_path, PARTITIONS_CONFIG, "partitions") == 2
+    out = str(tmp_path / "partitions.csv")
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out!r}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "partitions.csv"]
+    assert not any((tmp_path / "partitions.csv").iterdir())
+
+
 def test_a_config_nested_too_deeply_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text("[" * 100000 + "]" * 100000)
@@ -697,6 +768,10 @@ def test_each_command_validates_each_walk_once(tmp_path, command, config, valida
      dict(EIGEN_CONFIG, eigenfunction={"k": math.pi, "samples_per_edge": 10**12}),
      "error: 'eigenfunction.samples_per_edge' asks for 1000000000000 CSV rows, "
      "over the 10000000 limit"),
+    ("partitions", {"graph": {"family": "complete", "n": 6}, "partitions": {"cap": 10**13}},
+     "error: 'partitions.cap' asks for 2985984000000 CSV rows, over the 10000000 limit"),
+    ("partitions", {"graph": {"family": "complete", "n": 6}, "partitions": {"cap": 100}},
+     "error: partition count 2985984000000 exceeds enumeration cap 100"),
 ])
 def test_oversize_output_is_a_config_error(tmp_path, capsys, command, config, message):
     assert run(tmp_path, config, command) == 2

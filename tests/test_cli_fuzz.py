@@ -2,7 +2,9 @@
 
 Each example takes one shipped config, replaces one leaf with a JSON value of
 the wrong type, and runs the command the config is written for.  ``main``
-must return 0, 1 or 2 and must not raise.
+must return 0, 1 or 2, must not raise, and must print nothing on stdout and,
+on stderr, what its exit code promises: no verdict line for 0, one or more
+``verification failure:`` lines for 1, and exactly one ``error:`` line for 2.
 """
 
 import copy
@@ -46,7 +48,7 @@ CASES = _cases()
 @settings(max_examples=150, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=st.sampled_from(CASES), value=st.sampled_from(WRONG_TYPED))
-def test_wrong_typed_leaf_keeps_the_exit_code_contract(tmp_path, case, value):
+def test_wrong_typed_leaf_keeps_the_exit_code_contract(tmp_path, capsys, case, value):
     _name, command, cfg, leaf = case
     mutated = copy.deepcopy(cfg)
     node = mutated
@@ -55,4 +57,11 @@ def test_wrong_typed_leaf_keeps_the_exit_code_contract(tmp_path, case, value):
     node[leaf[-1]] = value
     path = tmp_path / "config.json"
     path.write_text(json.dumps(mutated))
-    assert main([command, "--config", str(path), "--out", str(tmp_path)]) in (0, 1, 2)
+    capsys.readouterr()  # drop what earlier examples printed
+    rc = main([command, "--config", str(path), "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    failures = sum(line.startswith("verification failure: ") for line in lines)
+    errors = sum(line.startswith("error: ") for line in lines)
+    assert out == ""
+    assert (rc, bool(failures), errors) in ((0, False, 0), (1, True, 0), (2, False, 1)), (rc, err)

@@ -29,7 +29,7 @@ from qgwalk import (
     cycle_graph,
     enumerate_partitions,
     flip_flop_partition,
-    line_digraph,
+    line_digraph_adjacency,
     partition_count,
     partition_permutation,
     path_graph,
@@ -192,24 +192,29 @@ def test_origin_slice_rejects_a_vertex_outside_the_graph():
 # ---------------------------------------------------------------------------
 
 
+def line_digraph_arcs(g):
+    """The composable pairs (source arc, target arc) that ``line_digraph_adjacency`` marks."""
+    space = build_arc_space(g)
+    targets, sources = np.nonzero(line_digraph_adjacency(space))
+    return {(space.arcs[s], space.arcs[t]) for t, s in zip(targets.tolist(), sources.tolist())}
+
+
 def test_line_digraph_k2():
-    ld = line_digraph(k2())
-    assert set(ld.vertices) == {(1, 2), (2, 1)}
-    assert set(ld.arcs) == {((1, 2), (2, 1)), ((2, 1), (1, 2))}
+    assert build_arc_space(k2()).arcs == ((1, 2), (2, 1))
+    assert line_digraph_arcs(k2()) == {((1, 2), (2, 1)), ((2, 1), (1, 2))}
 
 
 def test_line_digraph_c4_out_degrees():
     g = c4_graph()
-    ld = line_digraph(g)
-    assert len(ld.arcs) == 16
-    for (u, v) in ld.vertices:
+    pairs = line_digraph_arcs(g)
+    assert len(pairs) == 16
+    for (u, v) in build_arc_space(g).arcs:
         # composable continuations of (u, v) are exactly the arcs out of v
-        assert len(ld.out_neighbors((u, v))) == g.degree(v)
+        assert sorted(b for a, b in pairs if a == (u, v)) == [(v, w) for w in g.neighbors(v)]
 
 
 def test_line_digraph_p3_successors():
-    ld = line_digraph(p3())
-    assert set(ld.out_neighbors((1, 2))) == {(2, 1), (2, 3)}
+    assert {b for a, b in line_digraph_arcs(p3()) if a == (1, 2)} == {(2, 1), (2, 3)}
 
 
 # ---------------------------------------------------------------------------
