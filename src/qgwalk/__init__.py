@@ -39,7 +39,6 @@ from .graphs import (
     Graph,
     GraphValidationError,
     Partition,
-    PartitionCapError,
     PermutationTable,
     build_arc_space,
     complete_graph,

@@ -28,10 +28,11 @@ Every CSV goes through one writer of preformatted
 text blocks.  Rows are formatted with %-templates (floats as %.17g,
 repr-faithful) and end in CRLF: ``evolve`` fills one template per step, which
 holds that step's row for every vertex, and the other commands format their
-rows in fixed-size chunks with a per-row template.  So no file's rows are all
-held in memory.  Each file is written to a temporary name and moved into
-place, so a failed run leaves no partial file.  Repeated runs with the same
-config and seed produce identical bytes.
+rows in fixed-size chunks with a per-row template.  So no file's text is all
+held in memory, though ``qg-eigenfunction`` holds every sample it writes.
+Each file is written to a temporary name and moved into place, so a failed
+run leaves no partial file.  Repeated runs with the same config and seed
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -97,9 +98,9 @@ from .szegedy import (
 )
 
 MAX_ARCS = 2000
-# Longest CSV output.  Rows are streamed, so this bounds the size of a file
-# (about 0.3 GB of distribution.csv), not memory; a step or sample count past
-# it is a typo, not a run anyone means to read.
+# Longest CSV output, about 0.3 GB of distribution.csv: a longer run is a typo.
+# evolve and partitions stream their rows; qg-eigenfunction holds every sample,
+# about 170 bytes a row, so this bounds its memory too.
 MAX_CSV_ROWS = 10**7
 # Rows per text block that ``_lines`` formats from a per-row template.
 _CHUNK_ROWS = 65536
@@ -640,14 +641,12 @@ def _cmd_partitions(args) -> list[str]:
     section = _section(cfg, "partitions", required=False)
     _check_keys(section, {"cap"}, "partitions")
     cap = _int(section.get("cap", 1_000_000), "partitions.cap")
-    count = partition_count(g)
-    if count <= cap:  # one row per partition, so bound the rows before enumerating them
-        _check_rows(count, "partitions.cap")
-    parts = enumerate_partitions(g, cap=cap)
-    rows = []
-    for i, p in enumerate(parts):
-        lengths = sorted((len(c) for c in p.cycles), reverse=True)
-        rows.append((i, len(p.cycles), ";".join(str(x) for x in lengths), p.is_flip_flop))
+    count = partition_count(g)  # one row per partition, so bounded before any is enumerated
+    if count > cap:
+        raise ConfigError(f"partition count {count} exceeds enumeration cap {cap}")
+    _check_rows(count, "partitions.cap")
+    rows = ((i, len(p.cycles), ";".join(map(str, sorted(map(len, p.cycles), reverse=True))),
+             p.is_flip_flop) for i, p in enumerate(enumerate_partitions(g)))
     _atomic_write_csv(os.path.join(args.out, "partitions.csv"),
                       ["index", "cycle_count", "cycle_lengths", "is_flip_flop"],
                       _lines("%d,%d,%s,%s", rows))

@@ -23,6 +23,7 @@ import itertools
 import math
 import weakref
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -36,7 +37,6 @@ __all__ = [
     "Partition",
     "PermutationTable",
     "GraphValidationError",
-    "PartitionCapError",
     "build_arc_space",
     "flip_flop_partition",
     "enumerate_partitions",
@@ -56,15 +56,6 @@ Arc = tuple  # (origin, terminus)
 
 class GraphValidationError(ValueError):
     """The input graph is not simple, connected, and 1..n labelled."""
-
-
-class PartitionCapError(ValueError):
-    """Partition enumeration would exceed the configured cap."""
-
-    def __init__(self, count: int, cap: int):
-        super().__init__(f"partition count {count} exceeds enumeration cap {cap}")
-        self.count = count
-        self.cap = cap
 
 
 # ---------------------------------------------------------------------------
@@ -431,20 +422,26 @@ def partition_count(g: Graph) -> int:
     return math.prod(math.factorial(g.degree(v)) for v in g.vertices)
 
 
-def enumerate_partitions(g: Graph, cap: int = 1_000_000) -> list[Partition]:
-    """All partitions, as the product of per-vertex neighbourhood bijections.
-
-    Deterministic order: vertices ascending, bijections in lexicographic
-    order of the permuted neighbour tuple.  Raises PartitionCapError (with
-    the computed count attached) when the product of degree factorials
-    exceeds ``cap``.
+def enumerate_partitions(g: Graph) -> Iterator[Partition]:
+    """Every partition, one at a time: vertices ascending, each vertex's bijections
+    in lexicographic order of the permuted neighbour tuple, the last vertex's
+    varying fastest.  No vertex's bijections are listed ahead, so the first
+    partition comes at once whatever the degrees.
     """
-    count = partition_count(g)
-    if count > cap:
-        raise PartitionCapError(count, cap)
-    per_vertex = [itertools.permutations(range(d)) for d in build_arc_space(g).degrees.tolist()]
-    return [_partition_from_local(g, np.concatenate(combo))
-            for combo in itertools.product(*per_vertex)]
+    degrees = build_arc_space(g).degrees.tolist()
+    bijections = [itertools.permutations(range(d)) for d in degrees]
+    local = [next(b) for b in bijections]
+    while True:
+        yield _partition_from_local(g, np.concatenate(local))
+        # an odometer: the last vertex steps; one that has run out restarts and carries
+        v = len(local) - 1
+        while (step := next(bijections[v], None)) is None:
+            bijections[v] = itertools.permutations(range(degrees[v]))
+            local[v] = next(bijections[v])
+            v -= 1
+            if v < 0:
+                return
+        local[v] = step
 
 
 def random_partition(g: Graph, rng: np.random.Generator) -> Partition:

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -301,6 +302,24 @@ def test_partitions_enumeration(tmp_path):
     assert lines[0] == "index,cycle_count,cycle_lengths,is_flip_flop"
     assert len(lines) == 17
     assert sum(1 for line in lines[1:] if line.endswith(",True")) == 1
+
+
+def test_partitions_streams_its_rows(tmp_path):
+    # K4 with a pendant vertex on 1 and one on 2: 4! 4! 3! 3! = 20736 partitions,
+    # about 18 MiB at the peak when the partitions and their rows are all held
+    config = {"graph": {"vertices": 6, "edges": [[1, 2], [1, 3], [1, 4], [1, 5], [2, 3],
+                                                 [2, 4], [2, 6], [3, 4]]},
+              "partitions": {}}
+    tracemalloc.start()
+    try:
+        assert run(tmp_path, config, "partitions") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+    lines = csv_lines(tmp_path, "partitions.csv")
+    assert len(lines) == 1 + 20736
+    assert lines[1] == "0,8,2;2;2;2;2;2;2;2,True"
 
 
 COMMAND_OUTPUTS = {

@@ -1,6 +1,7 @@
 """Graphs, arc spaces, line digraphs, and cycle partitions."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from qgwalk import (
     Graph,
     GraphValidationError,
     Partition,
-    PartitionCapError,
     build_arc_space,
     complete_graph,
     cycle_graph,
@@ -245,7 +245,7 @@ def test_flip_flop_defining_property_random():
 @pytest.mark.parametrize("graph,expected", [
     (k2(), 1), (p3(), 2), (c4_graph(), 16), (s3(), 6)])
 def test_partition_counts(graph, expected):
-    parts = enumerate_partitions(graph)
+    parts = list(enumerate_partitions(graph))
     assert partition_count(graph) == expected
     assert len(parts) == expected
     keys = {frozenset(p.successors.items()) for p in parts}
@@ -253,11 +253,23 @@ def test_partition_counts(graph, expected):
     assert sum(p.is_flip_flop for p in parts) == 1
 
 
-def test_enumeration_cap_carries_count():
-    g = complete_graph(5)
-    with pytest.raises(PartitionCapError) as err:
-        enumerate_partitions(g)
-    assert err.value.count == 24 ** 5
+def test_enumeration_yields_the_first_partition_at_once():
+    # K6 has 120^6, about 3e12, partitions; the first takes every bijection as the identity
+    g = complete_graph(6)
+    assert next(iter(enumerate_partitions(g))) == flip_flop_partition(g)
+
+
+def test_enumeration_lists_no_vertex_bijections_ahead():
+    # the centre of a 9-leaf star has 9! = 362880 bijections, tens of MiB as a list of tuples
+    g = star_graph(9)
+    tracemalloc.start()
+    try:
+        first = next(iter(enumerate_partitions(g)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == flip_flop_partition(g)
+    assert peak < 2**20
 
 
 def test_quoted_successor_values():
@@ -290,7 +302,7 @@ def test_explicit_patterns_cycle_structures():
 
 def test_explicit_patterns_in_enumeration():
     g = c4_graph()
-    parts = enumerate_partitions(g)
+    parts = list(enumerate_partitions(g))
     for succ in (C4_P1, C4_P2, C4_P3):
         assert Partition.from_successors(g, succ) in parts
 

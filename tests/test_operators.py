@@ -582,7 +582,7 @@ def test_permuted_coins_gather_equals_the_permutation_product():
     # every ordered pair on C4, whose per-vertex maps are all involutions, and
     # random pairs on graphs with higher degrees, where a map and its inverse differ
     rng = np.random.default_rng(38)
-    parts = enumerate_partitions(c4_graph())
+    parts = list(enumerate_partitions(c4_graph()))
     pairs = [(base, target) for base in parts for target in parts]
     pairs += [(random_partition(g, rng), random_partition(g, rng))
               for g in arc_order_graphs() for _ in range(4)]

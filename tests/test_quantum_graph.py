@@ -494,7 +494,7 @@ def test_equivalences_take_a_flip_flop_walk_of_either_type():
     rng = np.random.default_rng(45)
     vec = rng.normal(size=walk.size) + 1j * rng.normal(size=walk.size)
     assert stationarity_equivalences(walk.with_kind("A"), vec) == stationarity_equivalences(walk, vec)
-    other = evolution(enumerate_partitions(HARD_STAR)[-1], walk.coins)
+    other = evolution(list(enumerate_partitions(HARD_STAR))[-1], walk.coins)
     assert not other.partition.is_flip_flop
     with pytest.raises(ValueError, match="flip-flop"):
         stationarity_equivalences(other, vec)

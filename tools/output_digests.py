@@ -14,7 +14,9 @@ checkout's, so two checkouts get the same inputs.  The jobs are:
 * one ``qg-eigenfunction`` per root of each ``roots.csv`` written above,
   configured by ``perfbench/worker.eigenfunction_job``;
 * ``partitions`` on K4 and on a 6-vertex graph with degrees 4, 2, 2, 2, 1, 1
-  (192 partitions), so that an enumeration order over mixed degrees is hashed;
+  (192 partitions), so that an enumeration order over mixed degrees is hashed,
+  and on one with degrees 4, 4, 3, 3, 2, 2 (82,944 partitions), whose CSV
+  spans two of the CLI's 65,536-row blocks;
 * on a 9-vertex graph with every degree from 1 to 5, ``evolve`` once per
   coin family (``identity``, ``grover``, ``random``, ``szegedy``,
   ``quantum-graph`` with a Dirichlet vertex, ``projector`` with non-uniform
@@ -64,6 +66,9 @@ SEED = 90317
 K4_PARTITIONS = {"graph": {"family": "complete", "n": 4}, "partitions": {}}
 MIXED_PARTITIONS = {"graph": {"vertices": 6, "edges": [[1, 2], [1, 3], [1, 4], [1, 5], [2, 3],
                                                       [4, 6]]},
+                    "partitions": {}}
+LARGE_PARTITIONS = {"graph": {"vertices": 6, "edges": [[1, 2], [1, 3], [1, 4], [1, 5], [2, 3],
+                                                      [2, 4], [2, 5], [3, 6], [4, 6]]},
                     "partitions": {}}
 # degrees 5, 2, 3, 3, 2, 2, 2, 2, 1 in vertex order
 MIXED_GRAPH = {"vertices": 9, "edges": [[1, 2], [1, 3], [1, 4], [1, 5], [1, 6], [2, 3], [3, 4],
@@ -216,7 +221,8 @@ def main() -> int:
                 else:
                     runner.run(f"bench/{job['id']}", job["command"], path)
         for name, config in (("partitions-k4", K4_PARTITIONS),
-                             ("partitions-mixed", MIXED_PARTITIONS)):
+                             ("partitions-mixed", MIXED_PARTITIONS),
+                             ("partitions-large", LARGE_PARTITIONS)):
             runner.run(name, "partitions", runner.config_path(name, config))
         for name, command, config in mixed_degree_jobs():
             runner.run(f"mixed/{name}", command, runner.config_path(f"mixed-{name}", config))
