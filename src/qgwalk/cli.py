@@ -635,6 +635,26 @@ def _cmd_qg_eigenfunction(args) -> list[str]:
         if not value <= args.tol]
 
 
+def _partition_row(i: int, p: Partition) -> tuple:
+    """Row ``i`` of partitions.csv: index, cycle count, cycle lengths longest first, flip-flop.
+
+    The lengths are those of ``p.cycles``, the orbits of ``p.perm``, counted
+    without building the cycles' arc tuples.
+    """
+    perm = p.perm.tolist()
+    seen, lengths = [False] * len(perm), []
+    for first in range(len(perm)):
+        n, c = 0, first
+        while not seen[c]:
+            seen[c] = True
+            n += 1
+            c = perm[c]
+        if n:
+            lengths.append(n)
+    lengths.sort(reverse=True)
+    return i, len(lengths), ";".join(map(str, lengths)), p.is_flip_flop
+
+
 def _cmd_partitions(args) -> list[str]:
     cfg = _load_config(args.config, {"graph", "partitions"})
     g = _build_graph(cfg)
@@ -645,8 +665,7 @@ def _cmd_partitions(args) -> list[str]:
     if count > cap:
         raise ConfigError(f"partition count {count} exceeds enumeration cap {cap}")
     _check_rows(count, "partitions.cap")
-    rows = ((i, len(p.cycles), ";".join(map(str, sorted(map(len, p.cycles), reverse=True))),
-             p.is_flip_flop) for i, p in enumerate(enumerate_partitions(g)))
+    rows = (_partition_row(i, p) for i, p in enumerate(enumerate_partitions(g)))
     _atomic_write_csv(os.path.join(args.out, "partitions.csv"),
                       ["index", "cycle_count", "cycle_lengths", "is_flip_flop"],
                       _lines("%d,%d,%s,%s", rows))

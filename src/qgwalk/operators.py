@@ -27,10 +27,17 @@ columns joined by a nonzero entry) and returns the largest block norm.  That
 is exact for any matrix, which is a direct sum of those blocks up to row and
 column permutations; the walk residuals split into per-vertex blocks, and an
 exactly zero residual needs no SVD at all.
+
+A walk is unitary exactly when every coin block is, so ``CoinSet.validate``
+checks one block at a time.  ``unitarity_defect`` takes a small block's
+defect from the block's own singular values, with no Gram product, and keeps
+the Gram route, split by ``operator_norm``, for matrices of ``_SPLIT_MIN_ROWS``
+rows or more, such as a whole walk's dense view.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
@@ -123,7 +130,25 @@ def _pattern_components(mask: np.ndarray) -> tuple:
 
 
 def unitarity_defect(m: np.ndarray) -> float:
-    """||m^dag m - I||_2, with 1 subtracted from the Gram diagonal in place."""
+    """||m^dag m - I||_2: zero exactly when m is unitary.
+
+    The eigenvalues of m^dag m - I are s^2 - 1 over the singular values s of
+    m.  So a square m of fewer than ``_SPLIT_MIN_ROWS`` rows, such as a coin
+    block, takes one SVD of m itself and returns the larger of |s_max^2 - 1|
+    and |s_min^2 - 1|.  The squares are Python floats, so a finite block whose
+    square overflows reads inf, with no warning.  Larger, non-square and empty
+    input, and input whose singular values are not finite (a NaN or infinite
+    entry), forms the Gram matrix, subtracts 1 from its diagonal in place and
+    takes its ``operator_norm``, which splits the block-diagonal Gram of a
+    walk into its blocks.
+    """
+    if m.ndim == 2 and 0 < len(m) == m.shape[1] < _SPLIT_MIN_ROWS:
+        try:
+            s = np.linalg.svd(m, compute_uv=False).tolist()
+        except np.linalg.LinAlgError:  # a NaN entry: the Gram route fails as it always has
+            s = []
+        if s and all(map(math.isfinite, s)):
+            return max(abs(s[0] * s[0] - 1.0), abs(s[-1] * s[-1] - 1.0))
     gram = m.conj().T @ m
     gram.reshape(-1)[::len(gram) + 1] -= 1  # the diagonal of the fresh, C-ordered product
     return operator_norm(gram)
@@ -178,7 +203,7 @@ class CoinSet:
             if h.shape != (d, d):
                 raise ValueError(f"coin at vertex {v} has shape {h.shape}, expected {(d, d)}")
             defect = unitarity_defect(h)
-            if defect > UNITARITY_TOL:
+            if not defect <= UNITARITY_TOL:  # a NaN defect fails too
                 raise ValueError(f"coin at vertex {v} is not unitary (defect {defect:.3e})")
 
     def block(self, v: int) -> np.ndarray:

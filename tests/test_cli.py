@@ -701,6 +701,28 @@ def test_nan_coin_block_names_its_vertex(tmp_path, capsys):
     assert not (tmp_path / "distribution.csv").exists()
 
 
+def test_coin_block_whose_square_overflows_is_not_unitary(tmp_path, capsys):
+    # finite, but its singular values square to inf
+    blocks = {str(v): [[1e200 if v == 1 else 1.0, 0.0], [0.0, 1.0]] for v in range(1, 5)}
+    config = dict(EVOLVE_CONFIG, walk={"coins": {"family": "explicit", "blocks": blocks}})
+    assert run(tmp_path, config, "evolve") == 2
+    assert capsys.readouterr().err == "error: coin at vertex 1 is not unitary (defect inf)\n"
+    assert not (tmp_path / "distribution.csv").exists()
+
+
+def test_large_coin_block_whose_gram_overflows_is_not_unitary(tmp_path, capsys):
+    # the 64x64 centre block's Gram product overflows to a NaN defect, which fails
+    blocks = {str(v): [[1.0]] for v in range(2, 66)}
+    blocks["1"] = np.eye(64).tolist()
+    blocks["1"][0][0] = 1e200
+    config = dict(EVOLVE_CONFIG, graph={"family": "star", "n": 65},
+                  walk={"coins": {"family": "explicit", "blocks": blocks}})
+    with pytest.warns(RuntimeWarning):
+        assert run(tmp_path, config, "evolve") == 2
+    assert capsys.readouterr().err == "error: coin at vertex 1 is not unitary (defect nan)\n"
+    assert not (tmp_path / "distribution.csv").exists()
+
+
 def test_scan_bracket_threshold_is_an_unknown_key(tmp_path, capsys):
     config = dict(REFINE_CONFIG, scan=dict(REFINE_CONFIG["scan"], bracket_threshold=0.1))
     assert run(tmp_path, config, "qg-scan") == 2

@@ -1,6 +1,7 @@
 """Shift/coin assembly, walk unitarity, and the structural identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,8 @@ def _mixed_blocks(g, seed):
     ({3: 2.0 * np.eye(3), 5: np.eye(3)}, "coin at vertex 3 is not unitary (defect 3.000e+00)"),
     ({5: 2.0 * np.eye(2), 8: np.eye(3)}, "coin at vertex 5 is not unitary (defect 3.000e+00)"),
     ({2: np.eye(3), 7: 2.0 * np.eye(2)}, "coin at vertex 2 has shape (3, 3), expected (2, 2)"),
+    # finite, but its singular values square to inf
+    ({6: np.diag([1e200, 1.0])}, "coin at vertex 6 is not unitary (defect inf)"),
 ])
 def test_validate_names_the_first_offender_in_vertex_order(edit, message):
     g = mixed_degree_graph()
@@ -167,6 +170,17 @@ def test_validate_names_the_first_non_finite_vertex_before_any_svd(bad, monkeypa
     with pytest.raises(ValueError, match="^coin at vertex 7 has a non-finite entry$"):
         CoinSet(blocks).validate(g)
     assert defects == []
+
+
+def test_validate_rejects_a_large_block_whose_gram_overflows():
+    # the Gram product of the 64x64 centre block overflows, with numpy's
+    # RuntimeWarning, to a NaN defect, which fails like any other
+    g = star_graph(_SPLIT_MIN_ROWS)
+    blocks = {v: np.eye(g.degree(v)) for v in g.vertices}
+    blocks[1][0, 0] = 1e200
+    with pytest.warns(RuntimeWarning), \
+            pytest.raises(ValueError, match=r"^coin at vertex 1 is not unitary \(defect nan\)$"):
+        CoinSet(blocks).validate(g)
 
 
 def test_coin_set_from_a_dict_groups_copies_and_freezes():
@@ -366,6 +380,70 @@ def test_unitary_norm_and_defect_basics():
     assert abs(operator_norm(u) - 1.0) <= 1e-12
     assert unitarity_defect(u) <= 1e-13
     assert unitarity_defect(0.5 * u) > 0.7
+
+
+def _haar_orthogonal(n, rng):
+    """The real counterpart of ``_haar_unitary``: a Haar-random orthogonal matrix."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diagonal(r))
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_small_block_defect_matches_the_gram_norm(real):
+    # Below _SPLIT_MIN_ROWS rows the defect comes from m's own singular values.
+    # Those carry an absolute error of up to a few hundred ulps near 1, so on
+    # blocks within 1e-12 of unitary the two routes part by up to about 4e-14
+    # (a 40-digit reference sides with the Gram route there); on the others they
+    # agree within about 2e-15.  Either is far inside UNITARITY_TOL.
+    rng = np.random.default_rng(2300 + real)
+    draw = _haar_orthogonal if real else _haar_unitary
+    for n in range(1, _SPLIT_MIN_ROWS):
+        u = draw(n, rng)
+        cases = [u, 0.5 * u, 2.0 * np.eye(n, dtype=u.dtype)]
+        for eps in (1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-3):
+            noise = draw(n, rng) * rng.standard_normal((1, n))
+            cases.append(u + eps * noise / np.abs(noise).max())
+        for i, m in enumerate(cases):
+            ref = operator_norm(m.conj().T @ m - np.eye(n))
+            scale = max(1.0, np.linalg.norm(m, 2) ** 2)
+            assert abs(unitarity_defect(m) - ref) <= 1e-13 * scale, (n, i)
+
+
+def _gram_defect(m):
+    """The Gram route: ||m^dag m - I||_2 through ``operator_norm``."""
+    gram = m.conj().T @ m
+    gram.reshape(-1)[::len(gram) + 1] -= 1
+    return operator_norm(gram)
+
+
+def _outcome(f, m, action):
+    """f(m) under the warnings filter ``action``: its value or exception, and its warnings."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(action)
+        try:
+            got = ("value", repr(f(m)))
+        except Exception as exc:  # a warning turned into an error, too
+            got = (type(exc), str(exc))
+    return got, [(w.category, str(w.message)) for w in seen]
+
+
+@pytest.mark.parametrize("m", [
+    np.ones((2, 3)),
+    np.ones((3, 2)) / math.sqrt(3.0),
+    np.zeros((0, 0)),
+    np.zeros((0, 3), dtype=complex),
+    np.array([[math.nan, 0.0], [0.0, 1.0]]),
+    np.array([[math.inf, 0.0], [0.0, 1.0]]),
+    np.array([[1.0, 0.0], [0.0, complex(1.0, -math.inf)]]),
+    np.full((2, 2), 1e308),  # finite, but its largest singular value overflows
+    2.0 * np.eye(_SPLIT_MIN_ROWS),
+    np.diag([1e200] + [1.0] * (_SPLIT_MIN_ROWS - 1)),
+], ids=["2x3", "3x2", "empty", "0x3", "nan", "inf", "complex-inf", "sv-overflow", "64-rows",
+        "64-rows-overflow"])
+@pytest.mark.parametrize("action", ["error", "always"])
+def test_other_input_keeps_the_gram_route(m, action):
+    # the Gram route's own value or exception, and its warnings
+    assert _outcome(unitarity_defect, m, action) == _outcome(_gram_defect, m, action)
 
 
 # ---------------------------------------------------------------------------

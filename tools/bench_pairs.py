@@ -11,11 +11,16 @@ placement, and with it ``peak_rss_mib``, can depend on the path.
 
 The end-to-end metrics of every pair are printed as they come in.  At the end,
 for each metric: the parent's median and quartiles, the change's median, the
-ratio of the medians (change / parent) and the pairs the change won, ties
-counting for neither side, with the direction each metric improves in from
-BENCHMARK.json.  The script exits 1, after printing what it has, when a run
-exits non-zero or reports a failed job.  It writes only what ``run.py`` itself
-writes, in each checkout's ``.perfbench_out/``.
+ratio of the medians (change / parent), the pairs the change won, ties
+counting for neither side, and a verdict, with the direction each metric
+improves in and its bound from BENCHMARK.json.  The verdict is ``gain`` when
+the change won at least 9/10 of the pairs and the medians differ by more
+than the parent's interquartile range in the better direction, ``worse``
+when the change's median is worse than the parent's by more than the
+metric's bound (a share of the parent's median), and ``-`` otherwise.  The
+script exits 1, after printing what it has, when a run exits non-zero or
+reports a failed job.  It writes only what ``run.py`` itself writes, in each
+checkout's ``.perfbench_out/``.
 """
 
 from __future__ import annotations
@@ -54,19 +59,28 @@ def quartiles(values: list) -> tuple[float, float]:
     return q1, q3
 
 
-def report(pairs: list, better: dict) -> None:
-    """Per metric: parent median [quartiles], change median, ratio and pairs won."""
+def report(pairs: list, spec: dict) -> None:
+    """Per metric: parent median [quartiles], change median, ratio, pairs won and verdict."""
     print(f"\n{'metric':24s} {'parent median [q1, q3]':34s} {'change':>10s} "
-          f"{'ratio':>7s} won")
+          f"{'ratio':>7s} {'won':>5s} verdict")
     for name in pairs[0][0]:
         parent = [p[name] for p, _ in pairs]
         change = [c[name] for _, c in pairs]
-        sign = -1.0 if better.get(name.rsplit(".", 1)[-1], "lower") == "lower" else 1.0
+        metric = spec[name.rsplit(".", 1)[-1]]
+        sign = -1.0 if metric["better"] == "lower" else 1.0
         won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         q1, q3 = quartiles(parent)
         ratio = median(change) / median(parent) if median(parent) else float("nan")
+        gap = sign * (median(change) - median(parent))  # > 0 when the change is better
+        if 10 * won >= 9 * len(pairs) and gap > q3 - q1:
+            verdict = "gain"
+        elif -gap > metric["bound"] * abs(median(parent)):
+            verdict = "worse"
+        else:
+            verdict = "-"
         base = f"{median(parent):.4g} [{q1:.4g}, {q3:.4g}]"
-        print(f"{name:24s} {base:34s} {median(change):10.4g} {ratio:7.3f} {won}/{len(pairs)}")
+        print(f"{name:24s} {base:34s} {median(change):10.4g} {ratio:7.3f} "
+              f"{f'{won}/{len(pairs)}':>5s} {verdict}")
 
 
 def main() -> int:
@@ -82,7 +96,7 @@ def main() -> int:
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
 
     pairs = []
     for i in range(args.pairs):
@@ -94,13 +108,13 @@ def main() -> int:
         except (RuntimeError, subprocess.TimeoutExpired) as exc:
             print(f"pair {i + 1}: {exc}", file=sys.stderr)
             if pairs:
-                report(pairs, better)
+                report(pairs, metrics)
             return 1
         pairs.append((got["parent"], got["change"]))
         print(f"pair {i + 1} ({order[0]} first): " + ", ".join(
             f"{name} {got['parent'][name]:.4g}/{got['change'][name]:.4g}"
             for name in got["parent"]), flush=True)
-    report(pairs, better)
+    report(pairs, metrics)
     return 0
 
 
