@@ -14,12 +14,14 @@ Within the block at vertex j the row/column order is the ascending neighbour
 order of j.  The metric-graph coin carries, on its row index m, the
 propagation phase of the outgoing arc j -> m, from ``propagation_phases``.
 
-Both metric families have one formula, ``_metric_coin_stacks``: each degree
-stack's blocks at every k of a batch, the phases from one ``np.exp`` and the
-phase-free cores from ``_vertex_cores``.  A stack with no finite positive
-coupling has cores that do not depend on k (``_k_free_cores``); a caller
-that builds many batches, as ``scan_roots`` does, takes them once and passes
-them in.  ``quantum_graph_coins`` and ``projector_coins`` are its one-k call.
+Both metric families have one formula, ``_metric_coin_sets``: one coin set
+per k of a batch, each a view of the batch's degree stacks, the phases from
+one ``np.exp`` and the phase-free cores from ``_vertex_cores``.  A stack with
+no finite positive coupling has unweighted cores that do not depend on k;
+``QuantumGraphParams.k_free_cores`` takes them on first use and holds them,
+so every later batch of the same parameters skips them.  Weighted cores are
+taken per batch.  ``quantum_graph_coins`` and ``projector_coins`` are its
+one-k call.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import ArcSpace, Graph, build_arc_space
+from .graphs import ArcSpace, Graph, _read_only, build_arc_space
 from .operators import CoinSet
 
 __all__ = [
@@ -183,6 +185,16 @@ class QuantumGraphParams:
         """exp(i L (k - A)) of every arc, in ``arc_space`` order."""
         return np.exp(1j * self.arc_lengths * (k - self.arc_potentials))
 
+    @cached_property
+    def k_free_cores(self) -> tuple:
+        """Per degree stack of ``arc_space``, its unweighted ``_vertex_cores`` as one
+        read-only (n_d, d, d) array when they do not depend on k (every coupling 0
+        or DIRICHLET), else None; taken on first use."""
+        # any k will do for such a stack: none of its coefficients reads k
+        return tuple(None if any(self.lam(j) not in (0.0, DIRICHLET) for j in vs.tolist())
+                     else _read_only(_vertex_cores(self, np.ones(1), vs, arcs)[0])
+                     for vs, arcs in self.arc_space.degree_blocks)
+
 
 @dataclass(frozen=True, eq=False)
 class VertexWeights:
@@ -301,42 +313,32 @@ def _vertex_cores(q: QuantumGraphParams, ks: np.ndarray, vertices: np.ndarray,
     return cores
 
 
-def _k_free_cores(q: QuantumGraphParams, w: VertexWeights | None = None) -> tuple:
-    """Per degree stack, its ``_vertex_cores`` as one (n_d, d, d) array when they
-    do not depend on k (every coupling 0 or DIRICHLET), else None."""
-    # any k will do for such a stack: none of its coefficients reads k
-    return tuple(None if any(q.lam(j) not in (0.0, DIRICHLET) for j in vs.tolist())
-                 else _vertex_cores(q, np.ones(1), vs, arcs, w)[0]
-                 for vs, arcs in q.arc_space.degree_blocks)
-
-
-def _metric_coin_stacks(q: QuantumGraphParams, ks: np.ndarray, w: VertexWeights | None = None,
-                        cores: tuple | None = None) -> list:
-    """Each degree stack's metric coins at every k of ``ks``: diag(arc phases) times its
-    ``_vertex_cores``, one (len(ks), n_d, d, d) array per stack.
+def _metric_coin_sets(q: QuantumGraphParams, ks: np.ndarray,
+                      w: VertexWeights | None = None) -> list:
+    """The metric coins at every k of ``ks``, one coin set per k, each a view of the
+    batch's stacks: per degree stack, diag(arc phases) times its ``_vertex_cores``.
 
     The phases come from one ``np.exp`` over (len(ks), arcs), in the operation
-    order of ``propagation_phases``.  A caller that builds many batches passes
-    ``cores``, its ``_k_free_cores(q, w)``, and those stacks skip
-    ``_vertex_cores``; without it every stack takes ``_vertex_cores`` at every k.
+    order of ``propagation_phases``.  Unweighted stacks read the cores that
+    ``q.k_free_cores`` holds where it holds them, and take ``_vertex_cores`` at
+    every k of the batch elsewhere; weighted stacks always take them.
     """
     for k in ks.tolist():
         _check_wavenumber(k)
-    if w is not None:
+    blocks = q.arc_space.degree_blocks
+    if w is None:
+        cores = q.k_free_cores
+    else:
         _check_weights(q, w)
-    if cores is None:
-        cores = (None,) * len(q.arc_space.degree_blocks)
+        cores = (None,) * len(blocks)
     phases = np.exp(1j * q.arc_lengths * (ks[:, None] - q.arc_potentials))
-    return [phases[:, arcs][..., None] * (_vertex_cores(q, ks, vs, arcs, w) if core is None
-                                          else core)
-            for (vs, arcs), core in zip(q.arc_space.degree_blocks, cores)]
-
-
-def _metric_coins(q: QuantumGraphParams, k: float, w: VertexWeights | None = None) -> CoinSet:
-    """The one-k call of ``_metric_coin_stacks``, as a coin set."""
-    stacks = _metric_coin_stacks(q, np.array([k], dtype=float), w)
-    return CoinSet.from_stacks((vs, hs[0])
-                               for (vs, _), hs in zip(q.arc_space.degree_blocks, stacks))
+    # np.take, unlike phases[:, arcs], lays the phases out k first, so a product
+    # with a held core is too, and each k's blocks are a view, not a copy
+    stacks = [np.take(phases, arcs, axis=1)[..., None]
+              * (_vertex_cores(q, ks, vs, arcs, w) if core is None else core)
+              for (vs, arcs), core in zip(blocks, cores)]
+    return [CoinSet.from_stacks((vs, hs[i]) for (vs, _), hs in zip(blocks, stacks))
+            for i in range(len(ks))]
 
 
 def quantum_graph_coins(q: QuantumGraphParams, k: float) -> CoinSet:
@@ -346,7 +348,7 @@ def quantum_graph_coins(q: QuantumGraphParams, k: float) -> CoinSet:
     rows reduce exactly to the Grover reflection; DIRICHLET gives -I times
     the phases.
     """
-    return _metric_coins(q, k)
+    return _metric_coin_sets(q, np.array([k], dtype=float))[0]
 
 
 def boundary_phase(lam: float, d: int, k: float) -> float:
@@ -367,4 +369,4 @@ def projector_coins(q: QuantumGraphParams, w: VertexWeights, k: float) -> CoinSe
     boundary phase and a the unit weight vector at j.  Uniform weights
     reproduce ``quantum_graph_coins`` up to rounding.
     """
-    return _metric_coins(q, k, w)
+    return _metric_coin_sets(q, np.array([k], dtype=float), w)[0]

@@ -67,9 +67,9 @@ __all__ = [
 ]
 
 
-# Below this many rows a matrix goes straight to the dense SVD: on the 2x2 to
-# 5x5 coin blocks a scan validates at every k, finding the blocks costs more
-# than the SVD it would split.
+# Below this many rows a matrix goes straight to the dense SVD, and a square
+# one's unitarity defect comes from its own singular values: on a small matrix,
+# finding the blocks costs more than the SVD it would split.
 _SPLIT_MIN_ROWS = 64
 
 UNITARITY_TOL = 1e-12  # largest unitarity defect a coin block may have
@@ -81,18 +81,13 @@ def operator_norm(m: np.ndarray) -> float:
 
     Rows and columns joined by a nonzero entry belong to one block, so m is a
     direct sum of its blocks up to row and column permutations, and its norm
-    is the largest block norm.  An all-zero matrix has norm 0; small matrices,
-    non-finite ones and single-block ones take one SVD of the whole.  For a
-    small finite matrix that is the first value ``svd`` returns (they come
-    sorted, largest first), the very value of ``np.linalg.norm(m, 2)`` without
-    the axis handling that costs more than a coin block's SVD; empty, non-2-D
-    and non-finite input goes to ``norm`` and fails as it does.
+    is the largest block norm.  An all-zero matrix has norm 0; matrices of
+    fewer than ``_SPLIT_MIN_ROWS`` rows, non-finite ones and single-block ones
+    take one ``np.linalg.norm(m, 2)`` of the whole, and empty, non-2-D and
+    non-finite input fails there as ``norm`` fails.
     """
     m = np.asarray(m)
-    small = m.ndim == 2 and m.shape[0] < _SPLIT_MIN_ROWS
-    if small and m.size and np.isfinite(m).all():
-        return float(np.linalg.svd(m, compute_uv=False)[0])
-    if small or m.ndim != 2 or not np.isfinite(m).all():
+    if m.ndim != 2 or m.shape[0] < _SPLIT_MIN_ROWS or not np.isfinite(m).all():
         return float(np.linalg.norm(m, 2))
     mask = m != 0
     if not mask.any():
@@ -198,13 +193,16 @@ class CoinSet:
             bad = min(v for vs, hs in self.stacks
                       for v in vs[~np.isfinite(hs).all(axis=tuple(range(1, hs.ndim)))].tolist())
             raise ValueError(f"coin at vertex {bad} has a non-finite entry")
-        for v, h in self.blocks.items():
-            d = g.degree(v)
-            if h.shape != (d, d):
-                raise ValueError(f"coin at vertex {v} has shape {h.shape}, expected {(d, d)}")
-            defect = unitarity_defect(h)
-            if not defect <= UNITARITY_TOL:  # a NaN defect fails too
-                raise ValueError(f"coin at vertex {v} is not unitary (defect {defect:.3e})")
+        # a large finite block whose Gram product overflows reads a NaN defect,
+        # which the error below reports; numpy's warnings would only precede it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for v, h in self.blocks.items():
+                d = g.degree(v)
+                if h.shape != (d, d):
+                    raise ValueError(f"coin at vertex {v} has shape {h.shape}, expected {(d, d)}")
+                defect = unitarity_defect(h)
+                if not defect <= UNITARITY_TOL:  # a NaN defect fails too
+                    raise ValueError(f"coin at vertex {v} is not unitary (defect {defect:.3e})")
 
     def block(self, v: int) -> np.ndarray:
         return self.blocks[v]

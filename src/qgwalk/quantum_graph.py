@@ -3,12 +3,14 @@
 The walk U(k) = Phi(k) Sigma(k) S is the G-type flip-flop evolution with the
 metric-graph coins.  A wavenumber k is an eigenvalue of the underlying
 differential problem exactly when U(k) has eigenvalue 1; the smallest singular
-value of I - U(k) is the root indicator scanned and refined here.  The scan's
-dense U(k) is the coin operator C(k) on ``q.arc_space`` with its columns gathered
-through arc reversal (the flip-flop shift): the entries of C S, no shift matrix.
-``stationary_vector`` takes the same entries from ``quantum_graph_walk(q, k)``
-and keeps that walk.  ``q`` carries the graph and its arc space, and each
-result carries its ``q``.
+value of I - U(k) is the root indicator scanned and refined here.  One builder,
+``_gaps``, forms the stack of I - U(k) over a batch of k for the scan's grid,
+its refinement probes and multiplicity counts, and ``stationarity_indicator``:
+each k's coin operator C(k) on ``q.arc_space`` with its columns gathered
+through arc reversal (the flip-flop shift), the entries of C S with no shift
+matrix.  ``stationary_vector`` and ``scattering_factorization`` take the same
+entries from ``quantum_graph_walk(q, k)``.  ``q`` carries the graph and its
+arc space, and each result carries its ``q``.
 
 Edge parameters are read per arc, in arc order, from ``q.arc_lengths`` and
 ``q.arc_potentials``; ``q.propagation_phases(k)`` is Phi(k), exp(i L (k - A))
@@ -31,12 +33,11 @@ end-to-end check of the whole construction.  It is the one-point call of
 
 ``scan_roots`` evaluates its grid in chunks of at most
 ``SCAN_CHUNK_ENTRIES`` complex entries (one k if a single I - U(k) is
-larger), so its memory is flat in the grid size.  Each chunk builds the
-metric coins of all its k in one ``_metric_coin_stacks`` call, whose stacks
-hold no more entries than the chunk's I - U(k); the k-free cores are taken
-once per scan and serve its refinement probes too.  Each k still gets its
-own coin set, views of those stacks, validated by ``coin_operator``; each
-chunk then takes one batched SVD, one batched det and one batched reduced
+larger), so its memory is flat in the grid size.  Each chunk is one ``_gaps``
+call, whose coins come from one ``_metric_coin_sets`` call, with stacks that
+hold no more entries than the chunk's I - U(k).  Each k still gets its own
+coin set, views of those stacks, validated by ``coin_operator``; each chunk
+then takes one batched SVD, one batched det and one batched reduced
 determinant, bit for bit the per-k values.
 """
 
@@ -53,8 +54,7 @@ from .coins import (
     VertexWeights,
     _check_wavenumber,
     _check_weights,
-    _k_free_cores,
-    _metric_coin_stacks,
+    _metric_coin_sets,
     _vertex_cores,
     boundary_phase,
     projector_coins,
@@ -96,37 +96,29 @@ def quantum_graph_walk(q: QuantumGraphParams, k: float) -> EvolutionOperator:
     return evolution(flip_flop_partition(q.graph), quantum_graph_coins(q, k), "G")
 
 
-def _dense_walks(q: QuantumGraphParams, ks: np.ndarray, cores: tuple | None = None):
-    """Dense U(k) = C(k) S of every k of ``ks``, one at a time: the coin operator's
-    columns gathered through arc reversal.
+def _gaps(q: QuantumGraphParams, ks: np.ndarray) -> np.ndarray:
+    """The (len(ks), N, N) stack of I - U(k), one k of ``ks`` per slot.
 
-    The coins of all of ``ks`` come from one ``_metric_coin_stacks`` call
-    (``cores`` as it takes them); each k's coin set is views of those stacks,
-    validated on its own by ``coin_operator``.
+    U(k) = C(k) S is the coin operator's columns gathered through arc reversal.
+    The coins of all of ``ks`` come from one ``_metric_coin_sets`` call; each
+    k's coin set is validated on its own by ``coin_operator``.
     """
     space = q.arc_space
-    stacks = _metric_coin_stacks(q, ks, cores=cores)
-    for i in range(len(ks)):
-        coins = CoinSet.from_stacks((vs, hs[i])
-                                    for (vs, _), hs in zip(space.degree_blocks, stacks))
-        yield coin_operator(space, coins)[:, space.reverse]
+    eye = np.eye(space.size)
+    gaps = np.empty((len(ks), space.size, space.size), dtype=complex)
+    for gap, coins in zip(gaps, _metric_coin_sets(q, ks)):
+        np.subtract(eye, coin_operator(space, coins)[:, space.reverse], out=gap)
+    return gaps
 
 
-def _dense_walk(q: QuantumGraphParams, k: float, cores: tuple | None = None) -> np.ndarray:
-    """Dense U(k), the one-k call of ``_dense_walks``."""
-    return next(_dense_walks(q, np.array([k], dtype=float), cores))
-
-
-def _gap(q: QuantumGraphParams, k: float,
-         cores: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """I - U(k) and its singular values, largest first."""
-    gap = np.eye(q.arc_space.size) - _dense_walk(q, k, cores)
-    return gap, np.linalg.svd(gap, compute_uv=False)
+def _gap_singular_values(q: QuantumGraphParams, k: float) -> np.ndarray:
+    """Singular values of I - U(k), largest first: the one-k call of ``_gaps``."""
+    return np.linalg.svd(_gaps(q, np.array([k], dtype=float))[0], compute_uv=False)
 
 
 def stationarity_indicator(q: QuantumGraphParams, k: float) -> float:
     """Smallest singular value of I - U(k); zero exactly at eigenvalues."""
-    return float(_gap(q, k)[1][-1])
+    return float(_gap_singular_values(q, k)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -237,16 +229,11 @@ def scan_roots(q: QuantumGraphParams, k_min: float, k_max: float,
     indicators = np.empty(grid_points)
     dets = np.empty(grid_points, dtype=complex)
     reduced = np.empty(grid_points, dtype=complex)
-    size = q.arc_space.size
-    eye = np.eye(size)
-    cores = _k_free_cores(q)  # for every chunk and refinement probe of this scan
-    chunk = max(1, SCAN_CHUNK_ENTRIES // (size * size))
+    chunk = max(1, SCAN_CHUNK_ENTRIES // q.arc_space.size ** 2)
     for start in range(0, grid_points, chunk):
         part = ks[start:start + chunk]
         rows = slice(start, start + part.size)
-        stack = np.empty((part.size, size, size), dtype=complex)
-        for gap, walk in zip(stack, _dense_walks(q, part, cores)):
-            np.subtract(eye, walk, out=gap)  # the I - U(k) of _gap
+        stack = _gaps(q, part)
         indicators[rows] = np.linalg.svd(stack, compute_uv=False)[:, -1]
         dets[rows] = np.linalg.det(stack)
         reduced[rows] = _reduced_determinants(q, part, 1.0, weights)[0]
@@ -259,12 +246,12 @@ def scan_roots(q: QuantumGraphParams, k_min: float, k_max: float,
     found = []
     for i in minima.tolist():
         lo, hi = float(ks[max(i - 1, 0)]), float(ks[min(i + 1, grid_points - 1)])
-        k_star, val = _golden_minimize(lambda k: float(_gap(q, k, cores)[1][-1]),
+        k_star, val = _golden_minimize(lambda k: float(_gap_singular_values(q, k)[-1]),
                                        lo, hi, refine_tol)
         if indicators[i] < val:  # golden section never probes the grid point itself
             k_star, val = float(ks[i]), float(indicators[i])
         if val <= root_tol:
-            svals = _gap(q, k_star, cores)[1]
+            svals = _gap_singular_values(q, k_star)
             found.append(Root(k_star, val, int(np.sum(svals <= 1e-8))))
 
     found.sort(key=lambda r: r.k)
@@ -574,7 +561,7 @@ def scattering_factorization(q: QuantumGraphParams, k: float) -> ScatteringFacto
     (2 / (d_j + i lam_j / k)) J - I, or -I at a DIRICHLET vertex.  The
     returned residual is the spectral-norm defect of the factorization.
     """
-    u = _dense_walk(q, k)
+    u = quantum_graph_walk(q, k).matrix
     sigma = CoinSet.from_stacks((vs, _vertex_cores(q, np.array([k], dtype=float), vs, arcs)[0])
                                 for vs, arcs in q.arc_space.degree_blocks)
     vertex_step = evolution(flip_flop_partition(q.graph), sigma, "G")

@@ -25,7 +25,7 @@ from qgwalk import (
     szegedy_coins,
     unitarity_defect,
 )
-from qgwalk.coins import _k_free_cores, _metric_coin_stacks, _vertex_cores
+from qgwalk.coins import _metric_coin_sets, _vertex_cores
 
 
 # ---------------------------------------------------------------------------
@@ -369,24 +369,31 @@ def _batched_coin_cases():
 
 @pytest.mark.parametrize("case", range(3), ids=["star", "k4", "kirchhoff_star"])
 def test_batched_coin_stacks_keep_the_bits_at_every_k(case):
-    # one _metric_coin_stacks call over many k: every block at every k is the
-    # per-vertex formula's, with the k-free cores taken here or held by the caller
+    # one _metric_coin_sets call over many k: every block at every k is the
+    # per-vertex formula's, with the k-free cores taken by the call, held by the
+    # parameters from an earlier call, and, weighted, never read from them
     g, q = _batched_coin_cases()[case]
     w = random_weights(g, np.random.default_rng(19 + case))
     ks = np.array([0.37, 0.9, 2.7, 11.5, 0.9])
     blocks = q.arc_space.degree_blocks
-    for weights in (None, w):
-        held = _k_free_cores(q, weights)
+    assert "k_free_cores" not in vars(q)
+    for weights in (None, None, w):  # the weighted call comes after the cores are held
+        sets = _metric_coin_sets(q, ks, weights)
+        assert len(sets) == ks.size
+        for k, coins in zip(ks.tolist(), sets):
+            for (vs, arcs), (coin_vs, hs) in zip(blocks, coins.stacks, strict=True):
+                assert np.array_equal(coin_vs, vs) and not hs.flags.owndata  # a batch view
+                assert hs.shape == (vs.size, arcs.shape[1], arcs.shape[1])
+                for j, h in zip(vs.tolist(), hs):
+                    sigma, core, _, _ = _per_vertex_blocks(q, w, k, j)
+                    assert h.tobytes() == (sigma if weights is None else core).tobytes()
+        held = q.k_free_cores
         assert [c is None for c in held] == [
             any(q.lam(j) not in (0.0, DIRICHLET) for j in vs.tolist()) for vs, _ in blocks]
-        for stacks in (_metric_coin_stacks(q, ks, weights),
-                       _metric_coin_stacks(q, ks, weights, cores=held)):
-            for (vs, arcs), hs in zip(blocks, stacks):
-                assert hs.shape == (ks.size, vs.size, arcs.shape[1], arcs.shape[1])
-                for k, stack in zip(ks.tolist(), hs):
-                    for j, h in zip(vs.tolist(), stack):
-                        sigma, core, _, _ = _per_vertex_blocks(q, w, k, j)
-                        assert h.tobytes() == (sigma if weights is None else core).tobytes()
+        assert not any(c.flags.writeable for c in held if c is not None)
+    if case == 2:  # Neumann: every stack's unweighted cores are held
+        assert all(c is not None for c in q.k_free_cores)
+    for weights in (None, w):
         for vs, arcs in blocks:
             cores = _vertex_cores(q, ks, vs, arcs, weights)
             for k, stack in zip(ks.tolist(), cores):

@@ -43,8 +43,9 @@ from qgwalk import (
     stationarity_indicator,
     stationary_vector,
 )
+from qgwalk import coins as coin_module
 from qgwalk import quantum_graph
-from qgwalk.quantum_graph import _dense_walk, _gap
+from qgwalk.quantum_graph import _gaps
 
 K2 = Graph.from_edges(2, [(1, 2)])
 UNIT_INTERVAL = QuantumGraphParams.build(K2)
@@ -86,12 +87,16 @@ def test_zero_length_limit_is_the_grover_walk():
 
 
 def test_solver_walk_equals_the_evolution_operator_exactly():
-    # the scan's U(k), a column gather of the coin operator, against the
-    # matrix scattered from the permutation and the coin blocks
+    # the scan's I - U(k), a column gather of the coin operator, against the
+    # matrix scattered from the permutation and the coin blocks, at every k of
+    # one batch and of one-k batches
+    ks = np.array([0.9, 2.7, 5.3])
     for _, q in metric_cases():
-        for k in (0.9, 2.7, 5.3):
-            assert np.array_equal(_dense_walk(q, k),
-                                  quantum_graph_walk(q, k).matrix)
+        eye = np.eye(q.arc_space.size)
+        expected = [eye - quantum_graph_walk(q, k).matrix for k in ks.tolist()]
+        assert _gaps(q, ks).tobytes() == np.stack(expected).tobytes()
+        for k, gap in zip(ks, expected):
+            assert _gaps(q, np.array([k])).tobytes() == gap.tobytes()
 
 
 def test_walk_is_unitary_with_generic_parameters():
@@ -129,7 +134,8 @@ def _per_k_reference(q, ks):
     """Indicators, direct and reduced determinants one k at a time, NaN at poles."""
     indicators, dets, reduced = [], [], []
     for k in ks:
-        gap, svals = _gap(q, k)
+        gap = _gaps(q, np.array([k]))[0]
+        svals = np.linalg.svd(gap, compute_uv=False)
         indicators.append(svals[-1])
         dets.append(np.linalg.det(gap))
         try:
@@ -159,6 +165,39 @@ def test_chunked_scan_equals_the_per_k_evaluation_bit_for_bit(case, monkeypatch)
     assert poles.any() == (case == "poles")
     monkeypatch.setattr(quantum_graph, "SCAN_CHUNK_ENTRIES", 1)  # one k per chunk
     assert scan_roots(q, k_min, k_max, grid_points=points).roots == scan.roots
+
+
+@pytest.mark.parametrize("coupled,held,per_batch", [
+    ((), [tuple(range(1, 31))], []),
+    ((1,), [(2, 3, 4, 5)], [(1,)]),
+    ((2, 3, 4, 5), [(1,)], [(2, 3, 4, 5)]),
+], ids=["neumann_cycle", "coupled_centre", "coupled_leaves"])
+def test_the_k_free_cores_are_taken_once_per_parameters(coupled, held, per_batch, monkeypatch):
+    # a stack whose couplings are all 0 takes its cores once for every chunk,
+    # refinement probe and multiplicity count of a scan; a coupled stack takes
+    # them once per batch of k
+    g = star_graph(4) if coupled else cycle_graph(30)
+    q = QuantumGraphParams.build(g, lengths=0.7 if coupled else 0.1,
+                                 lambdas={v: 0.5 if v in coupled else 0.0 for v in g.vertices})
+    stacks, batches = [], []
+    vertex_cores, coin_sets = coin_module._vertex_cores, quantum_graph._metric_coin_sets
+
+    def spy_cores(q, ks, vertices, *args):
+        stacks.append(tuple(vertices.tolist()))
+        return vertex_cores(q, ks, vertices, *args)
+
+    def spy_sets(q, ks):
+        batches.append(ks.size)
+        return coin_sets(q, ks)
+
+    monkeypatch.setattr(coin_module, "_vertex_cores", spy_cores)
+    monkeypatch.setattr(quantum_graph, "_metric_coin_sets", spy_sets)
+    scan = scan_roots(q, 1.5, 4.5, grid_points=200)
+    assert scan.roots and batches.count(1) > len(scan.roots)  # probes ran, one k each
+    assert max(batches) > 1  # and chunks of several k
+    assert [tuple(vs.tolist()) for (vs, _), core in
+            zip(q.arc_space.degree_blocks, q.k_free_cores) if core is not None] == held
+    assert sorted(stacks) == sorted(held + per_batch * len(batches))
 
 
 def test_a_root_on_a_grid_point_is_reported_at_that_point():

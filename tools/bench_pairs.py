@@ -6,18 +6,23 @@ Each pair runs ``perfbench/run.py --workload W --seed 90317 --seconds S --trace 
 once in each checkout, from the checkout's root, one process at a time.  Odd
 pairs run the parent first and even pairs the change, so drift in the host's
 speed falls on both sides.  ``--seconds`` defaults to BENCHMARK.json's
-``run_seconds``.  Give the two checkouts paths of equal length: the heap's
-placement, and with it ``peak_rss_mib``, can depend on the path.
+``run_seconds``.  The two checkouts must resolve to paths of equal length,
+since the heap's placement, and with it ``peak_rss_mib``, can depend on the
+path; the script exits 2 before any run when they do not.
 
 The end-to-end metrics of every pair are printed as they come in.  At the end,
 for each metric: the parent's median and quartiles, the change's median, the
 ratio of the medians (change / parent), the pairs the change won, ties
 counting for neither side, and a verdict, with the direction each metric
-improves in and its bound from BENCHMARK.json.  The verdict is ``gain`` when
-the change won at least 9/10 of the pairs and the medians differ by more
-than the parent's interquartile range in the better direction, ``worse``
-when the change's median is worse than the parent's by more than the
-metric's bound (a share of the parent's median), and ``-`` otherwise.  The
+improves in and its bound from BENCHMARK.json.  The verdict is
+``unresolved`` when the parent's interquartile range is wider than the
+metric's bound (a share of the parent's median), unless the runs do not
+overlap: every change run beats every parent run, or every parent run beats
+every change run.  Otherwise it is ``gain`` when the change won at least
+9/10 of the pairs and the medians differ by more than the parent's
+interquartile range in the better direction, ``worse`` when the change's
+median is worse than the parent's by more than the bound, and ``-``
+otherwise.  The
 script exits 1, after printing what it has, when a run exits non-zero or
 reports a failed job.  It writes only what ``run.py`` itself writes, in each
 checkout's ``.perfbench_out/``.
@@ -72,9 +77,13 @@ def report(pairs: list, spec: dict) -> None:
         q1, q3 = quartiles(parent)
         ratio = median(change) / median(parent) if median(parent) else float("nan")
         gap = sign * (median(change) - median(parent))  # > 0 when the change is better
-        if 10 * won >= 9 * len(pairs) and gap > q3 - q1:
+        bound = metric["bound"] * abs(median(parent))
+        gaps = [sign * (c - p) for c in change for p in parent]  # every run against every run
+        if q3 - q1 > bound and not (min(gaps) > 0 or max(gaps) < 0):
+            verdict = "unresolved"
+        elif 10 * won >= 9 * len(pairs) and gap > q3 - q1:
             verdict = "gain"
-        elif -gap > metric["bound"] * abs(median(parent)):
+        elif -gap > bound:
             verdict = "worse"
         else:
             verdict = "-"
@@ -93,6 +102,10 @@ def main() -> int:
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    checkouts = {side: os.path.realpath(getattr(args, side)) for side in ("parent", "change")}
+    if len(checkouts["parent"]) != len(checkouts["change"]):
+        ap.error(f"--parent {checkouts['parent']} and --change {checkouts['change']} resolve to "
+                 f"paths of different lengths; peak_rss_mib can depend on the path's length")
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
@@ -104,7 +117,7 @@ def main() -> int:
         got = {}
         try:
             for side in order:
-                got[side] = run_once(getattr(args, side), args.workload, seconds)
+                got[side] = run_once(checkouts[side], args.workload, seconds)
         except (RuntimeError, subprocess.TimeoutExpired) as exc:
             print(f"pair {i + 1}: {exc}", file=sys.stderr)
             if pairs:
