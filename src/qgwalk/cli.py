@@ -241,18 +241,22 @@ def _section(cfg: dict, name: str, required: bool = True) -> dict:
     return cfg[name]
 
 
-def _arc_key(raw: str) -> tuple[int, int]:
-    parts = str(raw).split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"expected a 'u,v' key, got {raw!r}")
-    return int(parts[0]), int(parts[1])
+def _arc_key(raw: str, where: str) -> tuple[int, int]:
+    try:
+        u, v = map(int, str(raw).split(","))
+    except ValueError:  # not two parts, or a part that is not an integer
+        raise ConfigError(f"'{where} key' must be a 'u,v' pair of integers, got {raw!r}") from None
+    return u, v
 
 
 def _keyed(raw, where: str, value, arc_keys: bool) -> dict:
     """A JSON map keyed by arcs or vertices; "1,2" next to "01,2" is a ConfigError."""
     out = {}
     for text, val in _dict(raw, where).items():
-        key = _arc_key(text) if arc_keys else _convert(int, text, f"{where} key", "an integer")
+        if arc_keys:
+            key = _arc_key(text, where)
+        else:
+            key = _convert(int, text, f"{where} key", "an integer")
         if key in out:
             raise ConfigError(f"'{where}' gives {key} twice")
         out[key] = value(text, val)
@@ -266,6 +270,14 @@ def _as_complex(raw, where: str) -> complex:
     if isinstance(raw, list) and len(raw) == 2:
         return complex(_float(raw[0], f"{where}[0]"), _float(raw[1], f"{where}[1]"))
     raise ConfigError(f"'{where}' must be a number or an [re, im] pair, got {raw!r}")
+
+
+def _rng(raw, where: str) -> np.random.Generator:
+    """A generator seeded by ``raw``, a JSON integer >= 0, or a ConfigError naming ``where``."""
+    seed = _int(raw, where)
+    if seed < 0:
+        raise ConfigError(f"'{where}' must be a non-negative integer, got {raw!r}")
+    return np.random.default_rng(seed)
 
 
 def _check_rows(rows: int, where: str) -> None:
@@ -319,7 +331,8 @@ def _build_graph(cfg: dict) -> Graph:
     return g
 
 
-def _build_partition(g: Graph, spec) -> Partition:
+def _build_partition(g: Graph, spec, where: str) -> Partition:
+    """The partition ``spec`` gives; ``where`` is its key, which a seed's errors name."""
     if spec == "flip-flop":
         return flip_flop_partition(g)
     if isinstance(spec, dict) and "successors" in spec:
@@ -328,14 +341,14 @@ def _build_partition(g: Graph, spec) -> Partition:
                       lambda key, val: _int(val, f"partition.successors.{key}"), arc_keys=True)
         return Partition.from_successors(g, succ)
     if isinstance(spec, dict) and "random_seed" in spec:
-        _check_keys(spec, {"random_seed"}, "partition")
-        seed = _int(spec["random_seed"], "partition.random_seed")
-        return random_partition(g, np.random.default_rng(seed))
+        _check_keys(spec, {"random_seed"}, where)
+        return random_partition(g, _rng(spec["random_seed"], f"{where}.random_seed"))
     raise ConfigError("partition must be 'flip-flop', {'successors': ...}, "
                       "or {'random_seed': ...}")
 
 
-def _build_transition(g: Graph, spec) -> TransitionMatrix:
+def _build_transition(g: Graph, spec, where: str) -> TransitionMatrix:
+    """The transition matrix ``spec`` gives; ``where`` is its key, which a seed's errors name."""
     if spec == "uniform":
         return TransitionMatrix.uniform(g)
     if isinstance(spec, list):
@@ -343,9 +356,8 @@ def _build_transition(g: Graph, spec) -> TransitionMatrix:
         return TransitionMatrix(g, _convert(lambda x: np.array(x, dtype=float), rows,
                                             "transition", "a matrix of numbers"))
     if isinstance(spec, dict) and "random_seed" in spec:
-        _check_keys(spec, {"random_seed"}, "transition")
-        seed = _int(spec["random_seed"], "transition.random_seed")
-        return random_reversible_transition(g, np.random.default_rng(seed))
+        _check_keys(spec, {"random_seed"}, where)
+        return random_reversible_transition(g, _rng(spec["random_seed"], f"{where}.random_seed"))
     raise ConfigError("transition must be 'uniform', a row matrix, or {'random_seed': ...}")
 
 
@@ -394,12 +406,12 @@ def _build_coins(g: Graph, cfg: dict, spec: dict, seed: int):
     if family == "grover":
         return grover_coins(g)
     if family == "random":
-        seed = _int(spec.get("seed", seed), "walk.coins.seed")
-        return random_unitary_coins(g, np.random.default_rng(seed))
+        where = "walk.coins.seed" if "seed" in spec else "--seed"
+        return random_unitary_coins(g, _rng(spec.get("seed", seed), where))
     if family == "szegedy":
         if "transition" not in spec:
             raise ConfigError("szegedy coins need a 'transition' entry")
-        return szegedy_coins(_build_transition(g, spec["transition"]))
+        return szegedy_coins(_build_transition(g, spec["transition"], "walk.coins.transition"))
     if family in ("quantum-graph", "projector"):
         if "k" not in spec:
             raise ConfigError(f"{family} coins need a wavenumber 'k'")
@@ -424,7 +436,7 @@ def _build_walk(g: Graph, cfg: dict, seed: int, default_coins: str = "grover"):
     kind = section.get("kind", "G")
     if kind not in ("G", "A"):
         raise ConfigError(f"walk kind must be 'G' or 'A', got {kind!r}")
-    p = _build_partition(g, section.get("partition", "flip-flop"))
+    p = _build_partition(g, section.get("partition", "flip-flop"), "walk.partition")
     coins = _build_coins(g, cfg, section.get("coins", {"family": default_coins}), seed)
     return p, coins, kind
 
@@ -489,7 +501,10 @@ def _cmd_verify(args) -> list[str]:
     if "kind" in _section(cfg, "walk", required=False):
         raise ConfigError("'walk.kind' is not read by verify, which checks both walk types")
     p, coins, _ = _build_walk(g, cfg, args.seed, default_coins="random")
-    p2 = _build_partition(g, section.get("other_partition", {"random_seed": args.seed + 1}))
+    if "other_partition" in section:
+        p2 = _build_partition(g, section["other_partition"], "verify.other_partition")
+    else:
+        p2 = random_partition(g, _rng(args.seed + 1, "--seed + 1"))
 
     # first, so that its dense matrices are freed before ug.matrix is built and kept
     inverse = inverse_walk_residual(p.arc_space, coins)
@@ -517,7 +532,7 @@ def _cmd_szegedy(args) -> list[str]:
     g = _build_graph(cfg)
     section = _section(cfg, "szegedy", required=False)
     _check_keys(section, {"transition"}, "szegedy")
-    t = _build_transition(g, section.get("transition", "uniform"))
+    t = _build_transition(g, section.get("transition", "uniform"), "szegedy.transition")
 
     predicted = szegedy_spectrum(t)
     eigenvalues, case, walk = predicted.eigenvalues, predicted.case, predicted.walk

@@ -277,6 +277,18 @@ def _check_wavenumber(k: float) -> None:
         raise ValueError(f"wavenumber must be positive and finite, got {k}")
 
 
+def _check_phases(q: QuantumGraphParams, ks: np.ndarray, phases: np.ndarray, what: str) -> None:
+    """Raise a ValueError if a phase, one row per k of ``ks`` and one column per
+    arc, is not finite because its exponent ``what``, such as L (k - A),
+    overflowed.  The error names the first such k and, at it, the first such
+    arc's edge."""
+    if not np.isfinite(phases).all():
+        at, arc = np.argwhere(~np.isfinite(phases))[0].tolist()
+        u, v = q.arc_space.arcs[arc]
+        raise ValueError(f"{what} on edge {(min(u, v), max(u, v))} is not finite "
+                         f"at k={ks.tolist()[at]!r}")
+
+
 def _check_weights(q: QuantumGraphParams, w: VertexWeights) -> None:
     if w.graph != q.graph:
         raise ValueError("weights belong to a different graph")
@@ -331,7 +343,9 @@ def _metric_coin_sets(q: QuantumGraphParams, ks: np.ndarray,
     else:
         _check_weights(q, w)
         cores = (None,) * len(blocks)
-    phases = np.exp(1j * q.arc_lengths * (ks[:, None] - q.arc_potentials))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.exp(1j * q.arc_lengths * (ks[:, None] - q.arc_potentials))
+    _check_phases(q, ks, phases, "L (k - A)")
     # np.take, unlike phases[:, arcs], lays the phases out k first, so a product
     # with a held core is too, and each k's blocks are a view, not a copy
     stacks = [np.take(phases, arcs, axis=1)[..., None]

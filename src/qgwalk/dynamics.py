@@ -55,7 +55,8 @@ class WalkState:
         object.__setattr__(self, "amplitudes", amps)
         if amps.shape != (self.space.size,):
             raise ValueError(f"state has shape {amps.shape}, expected ({self.space.size},)")
-        nrm = np.linalg.norm(amps)
+        with np.errstate(over="ignore"):  # an overflowed norm reads inf and fails below
+            nrm = np.linalg.norm(amps)
         if not abs(nrm - 1.0) <= 1e-9:  # written so that NaN fails
             raise ValueError(f"state norm {nrm:.15g} is not 1 within 1e-9")
 
@@ -64,7 +65,8 @@ class WalkState:
 
 
 def _exact_unit(amps: np.ndarray, what: str) -> np.ndarray:
-    nrm = np.linalg.norm(amps)
+    with np.errstate(over="ignore"):  # an overflowed norm reads inf and fails below
+        nrm = np.linalg.norm(amps)
     if not abs(nrm - 1.0) <= 1e-12:
         raise ValueError(f"{what} must have unit norm, got {nrm:.15g}")
     return amps

@@ -29,10 +29,12 @@ column permutations; the walk residuals split into per-vertex blocks, and an
 exactly zero residual needs no SVD at all.
 
 A walk is unitary exactly when every coin block is, so ``CoinSet.validate``
-checks one block at a time.  ``unitarity_defect`` takes a small block's
-defect from the block's own singular values, with no Gram product, and keeps
-the Gram route, split by ``operator_norm``, for matrices of ``_SPLIT_MIN_ROWS``
-rows or more, such as a whole walk's dense view.
+checks one block at a time, then that the stacks are the graph's
+``degree_blocks``, which the walk reads by place, not by vertex label.
+``unitarity_defect`` takes a small block's defect from the block's own
+singular values, with no Gram product, and keeps the Gram route, split by
+``operator_norm``, for matrices of ``_SPLIT_MIN_ROWS`` rows or more, such as
+a whole walk's dense view.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 
@@ -179,39 +180,45 @@ class CoinSet:
             for vs, hs in stacks))
         return coins
 
-    @cached_property
-    def blocks(self) -> MappingProxyType:
-        """{vertex: block} in vertex order, read-only, each a view of its stack."""
-        views = {v: h for vertices, hs in self.stacks for v, h in zip(vertices.tolist(), hs)}
-        return MappingProxyType(dict(sorted(views.items())))  # keys are distinct: no block compared
-
     def validate(self, g: Graph) -> None:
-        if self.blocks.keys() != set(g.vertices):
+        """Check the blocks against ``g`` and the stacks against its ``degree_blocks``."""
+        labels = [vs.tolist() for vs, _ in self.stacks]
+        if (sorted(v for vs in labels for v in vs) != list(g.vertices)
+                or any(len(vs) != len(hs) for vs, (_, hs) in zip(labels, self.stacks))):
             raise ValueError("coin set must assign one block to every vertex")
         # a non-finite block would end in an SVD error that names no vertex
         if not all(np.isfinite(hs).all() for _, hs in self.stacks):
             bad = min(v for vs, hs in self.stacks
                       for v in vs[~np.isfinite(hs).all(axis=tuple(range(1, hs.ndim)))].tolist())
             raise ValueError(f"coin at vertex {bad} has a non-finite entry")
+        space = build_arc_space(g)
+        degrees, faults = space.degrees.tolist(), {}
         # a large finite block whose Gram product overflows reads a NaN defect,
         # which the error below reports; numpy's warnings would only precede it
         with np.errstate(over="ignore", invalid="ignore"):
-            for v, h in self.blocks.items():
-                d = g.degree(v)
-                if h.shape != (d, d):
-                    raise ValueError(f"coin at vertex {v} has shape {h.shape}, expected {(d, d)}")
-                defect = unitarity_defect(h)
-                if not defect <= UNITARITY_TOL:  # a NaN defect fails too
-                    raise ValueError(f"coin at vertex {v} is not unitary (defect {defect:.3e})")
+            for vs, (_, hs) in zip(labels, self.stacks):
+                for v, h in zip(vs, hs):
+                    d = degrees[v - 1]
+                    if h.shape != (d, d):
+                        faults[v] = f"coin at vertex {v} has shape {h.shape}, expected {(d, d)}"
+                        continue
+                    defect = unitarity_defect(h)
+                    if not defect <= UNITARITY_TOL:  # a NaN defect fails too
+                        faults[v] = f"coin at vertex {v} is not unitary (defect {defect:.3e})"
+        if faults:
+            raise ValueError(faults[min(faults)])  # the first in vertex order
+        if labels != [vs.tolist() for vs, _ in space.degree_blocks]:
+            raise ValueError("coin stacks do not follow the graph's degree blocks")
 
     def block(self, v: int) -> np.ndarray:
-        return self.blocks[v]
+        """The block of vertex ``v``: a read-only view of the stack that holds it."""
+        for vs, hs in self.stacks:
+            if v in (labels := vs.tolist()):
+                return hs[labels.index(v)]
+        raise KeyError(v)
 
     def dagger(self) -> "CoinSet":
         return CoinSet.from_stacks((vs, hs.conj().swapaxes(1, 2)) for vs, hs in self.stacks)
-
-    def inverse(self) -> "CoinSet":
-        return CoinSet.from_stacks((vs, np.linalg.inv(hs)) for vs, hs in self.stacks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,10 +350,15 @@ def random_unitary_coins(g: Graph, rng: np.random.Generator) -> CoinSet:
 
 
 def shift_duality_residual(op: EvolutionOperator, n: int) -> float:
-    """|| (U_G)^n - S^dag (U_A)^n S ||: the two types are conjugate by the shift."""
-    lhs = np.linalg.matrix_power(op.with_kind("G").matrix, n)
-    rhs = np.linalg.matrix_power(op.with_kind("A").matrix, n)[np.ix_(op.perm, op.perm)]
-    return operator_norm(lhs - rhs)
+    """|| (U_G)^n - S^dag (U_A)^n S ||: the two types are conjugate by the shift.
+
+    The residual is inf when, over enough steps, rounding overflows the powers.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = np.linalg.matrix_power(op.with_kind("G").matrix, n)
+        rhs = np.linalg.matrix_power(op.with_kind("A").matrix, n)[np.ix_(op.perm, op.perm)]
+        diff = lhs - rhs
+    return operator_norm(diff) if np.isfinite(diff).all() else math.inf
 
 
 def inverse_walk_residual(space: ArcSpace, coins: CoinSet) -> float:

@@ -52,6 +52,7 @@ from .coins import (
     DIRICHLET,
     QuantumGraphParams,
     VertexWeights,
+    _check_phases,
     _check_wavenumber,
     _check_weights,
     _metric_coin_sets,
@@ -459,7 +460,9 @@ def _reduced_determinants(q: QuantumGraphParams, ks: np.ndarray, t: complex,
     n = g.vertex_count
     origin, terminus = space.origin - 1, space.terminus - 1
 
-    round_trip = np.exp(2j * ks[:, None] * q.arc_lengths)
+    with np.errstate(over="ignore", invalid="ignore"):
+        round_trip = np.exp(2j * ks[:, None] * q.arc_lengths)
+    _check_phases(q, ks, round_trip, "2 k L")
     delta = 1.0 - t * t * round_trip
     edge_delta = delta[:, origin < terminus]  # the arcs u -> v with u < v are g.edges in order
     live = np.flatnonzero(~(np.abs(edge_delta) < POLE_GUARD).any(axis=1))
@@ -474,7 +477,9 @@ def _reduced_determinants(q: QuantumGraphParams, ks: np.ndarray, t: complex,
     mu = 1.0 + np.exp(-1j * rho)
     mu[:, dirichlet] = 0.0
     alpha = weights.arc_vector
-    phase = np.exp(1j * q.arc_lengths * (ks[:, None] + q.arc_potentials))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.exp(1j * q.arc_lengths * (ks[:, None] + q.arc_potentials))
+    _check_phases(q, ks, phase, "L (k + A)")
     big_t = np.zeros((live.size, n, n), dtype=complex)
     alpha_rev = alpha[space.reverse]  # the weight of arc l -> i at the place of i -> l
     big_t[:, origin, terminus] = mu[:, origin] * np.conj(alpha) * alpha_rev * phase / delta

@@ -15,9 +15,10 @@ symmetric n x n matrix T with entries sqrt(p(i,j) p(j,i)):
 
 Eigenvectors lift as (I - exp(i theta) S) A p; at nu = +/-1 the lift can
 vanish, in which case that direction carries no genuine eigenvector.  The
-lifts are checked matrix-free: one product lifts every discriminant
-eigenvector, the shift is a gather through arc reversal (``space.reverse``), and
-each residual applies the walk with ``EvolutionOperator.apply``.
+lifts are taken and checked matrix-free: one gather lifts every discriminant
+eigenvector (``lift_map`` is the dense A, kept as the reference), the shift
+is a gather through arc reversal (``space.reverse``), and each residual
+applies the walk with ``EvolutionOperator.apply``.
 
 The oracle, ``direct_spectrum``, diagonalizes the dense walk.  When the walk
 is exactly real (real chains, Grover, identity or real explicit coins) it
@@ -62,6 +63,16 @@ def lift_map(t: TransitionMatrix) -> np.ndarray:
     a = np.zeros((space.size, space.graph.vertex_count))
     a[np.arange(space.size), origin] = np.sqrt(t.matrix[origin, terminus])
     return a
+
+
+def _lift(t: TransitionMatrix, vecs: np.ndarray) -> np.ndarray:
+    """``lift_map(t) @ vecs`` as a gather: arc (o, e) takes row o of ``vecs``
+    times sqrt(p(o, e)), with no 2|E| x n matrix."""
+    space = build_arc_space(t.graph)
+    origin, terminus = space.origin - 1, space.terminus - 1
+    lifted = vecs[origin]
+    lifted *= np.sqrt(t.matrix[origin, terminus])[:, None]
+    return lifted
 
 
 def szegedy_walk(t: TransitionMatrix) -> EvolutionOperator:
@@ -110,7 +121,7 @@ def szegedy_spectrum(t: TransitionMatrix) -> SpectralResult:
     case = "tree" if extra < 0 else "unicyclic" if extra == 0 else "general"
 
     op = szegedy_walk(t)
-    lifted = lift_map(t) @ vecs
+    lifted = _lift(t, vecs)
     shifted = lifted[op.space.reverse]
 
     eigenvalues: list[complex] = []

@@ -783,6 +783,72 @@ def test_negative_verify_steps_is_a_config_error(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+def shipped(name, *edits):
+    """The shipped config ``name`` with each (key path, value) of ``edits`` set."""
+    config = json.loads((CONFIG_DIR / name).read_text())
+    for path, value in edits:
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return config
+
+
+@pytest.mark.parametrize("command,config,code,stderr", [
+    # L (k - A) overflows in the coins' phases
+    ("qg-scan", shipped("k2_neumann_scan.json", (("quantum_graph", "lengths"), 1e308)), 2,
+     "error: L (k - A) on edge (1, 2) is not finite at k=1.7980998538349104\n"),
+    ("qg-eigenfunction", shipped("k2_eigenfunction.json", (("quantum_graph", "lengths"), 1e308)),
+     2, "error: L (k - A) on edge (1, 2) is not finite at k=3.141592653589793\n"),
+    # 2 k L overflows in the reduced determinant first
+    *(("qg-scan", shipped("star_dirichlet_scan.json", (("quantum_graph", "lengths", e), 1e308)), 2,
+       f"error: 2 k L on edge (1, {e[-1]}) is not finite at k=0.8990443382598066\n")
+      for e in ("1,2", "1,3", "1,4")),
+    # the walk's powers overflow: the residual is inf, a failed check
+    *(("verify", shipped("c4_verify.json", (("verify", "steps"), steps)), 1,
+       f"verification failure: shift_duality_{int(steps)}_steps residual inf exceeds --tol 1e-10\n")
+      for steps in (1e308, 1e200, 2**63)),
+    # the amplitudes' norm overflows
+    ("evolve", dict(EVOLVE_CONFIG, evolve={"steps": 1, "initial": {
+        "amplitudes": {"1,2": [1e200, 0]}}}),
+     2, "error: arc amplitude map must have unit norm, got inf\n"),
+], ids=["scan-length", "eigenfunction-length", "star-length-1,2", "star-length-1,3",
+        "star-length-1,4", "verify-steps-1e308", "verify-steps-1e200", "verify-steps-2**63",
+        "evolve-amplitude"])
+def test_an_extreme_magnitude_gives_one_verdict_and_no_warning(tmp_path, capsys, command, config,
+                                                               code, stderr):
+    assert run(tmp_path, config, command) == code
+    assert capsys.readouterr().err == stderr
+
+
+@pytest.mark.parametrize("command,config,args,message", [
+    ("evolve", shipped("c4_grover_evolve.json", (("walk", "partition"), {"random_seed": -1})), [],
+     "'walk.partition.random_seed' must be a non-negative integer, got -1"),
+    ("verify", shipped("c4_verify.json", (("walk", "coins", "seed"), -5)), [],
+     "'walk.coins.seed' must be a non-negative integer, got -5"),
+    ("verify", shipped("c4_verify.json", (("verify", "other_partition"), {"random_seed": -2})), [],
+     "'verify.other_partition.random_seed' must be a non-negative integer, got -2"),
+    ("szegedy", shipped("c4_szegedy.json", (("szegedy", "transition"), {"random_seed": -3})), [],
+     "'szegedy.transition.random_seed' must be a non-negative integer, got -3"),
+    ("evolve", dict(EVOLVE_CONFIG, walk={"coins": {"family": "szegedy",
+                                                   "transition": {"random_seed": -4}}}), [],
+     "'walk.coins.transition.random_seed' must be a non-negative integer, got -4"),
+    # the seeds that come from --seed: the coins' own, and the other partition's, --seed + 1
+    ("verify", dict(VERIFY_CONFIG, walk={"coins": {"family": "random"}}), ["--seed", "-1"],
+     "'--seed' must be a non-negative integer, got -1"),
+    ("verify", dict(VERIFY_CONFIG, walk={"coins": {"family": "grover"}}, verify={"steps": 1}),
+     ["--seed", "-2"],
+     "'--seed + 1' must be a non-negative integer, got -1"),
+    ("qg-scan", dict(SCAN_CONFIG, quantum_graph={"lengths": {"a,b": 1}}), [],
+     "'quantum_graph.lengths key' must be a 'u,v' pair of integers, got 'a,b'"),
+    ("qg-scan", dict(SCAN_CONFIG, quantum_graph={"potentials": {"1,2,3": 0}}), [],
+     "'quantum_graph.potentials key' must be a 'u,v' pair of integers, got '1,2,3'"),
+])
+def test_a_config_error_names_its_key(tmp_path, capsys, command, config, args, message):
+    assert run(tmp_path, config, command, *args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command,config,validations", [
     ("evolve", EVOLVE_CONFIG, 1), ("verify", VERIFY_CONFIG, 6),
     ("szegedy", SZEGEDY_CONFIG, 1), ("qg-eigenfunction", EIGEN_CONFIG, 1),

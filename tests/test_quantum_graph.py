@@ -473,6 +473,21 @@ def test_pole_guard_names_the_first_offending_edge(near_pole, named):
     assert str(err.value).startswith(f"edge {named} factor")
 
 
+@pytest.mark.parametrize("k,potential,message", [
+    # 2 k L = 2e308 overflows
+    (1.0, 0.0, "2 k L on edge (2, 3) is not finite at k=1.0"),
+    # 2 k L = 1e308 does not, but L (k + A) = 2e308 does, on the arc 2 -> 3
+    (0.5, 1.5, "L (k + A) on edge (2, 3) is not finite at k=0.5"),
+])
+def test_reduced_determinant_names_an_overflowed_phase(k, potential, message):
+    g = cycle_graph(3)
+    q = QuantumGraphParams.build(g, lengths={(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1e308},
+                                 potentials={(1, 2): 0.0, (1, 3): 0.0, (2, 3): potential})
+    with pytest.raises(ValueError) as err:  # and no numpy warning ahead of it
+        reduced_secular_determinant(q, k, 0.5)
+    assert str(err.value) == message
+
+
 def test_scan_reads_each_edge_parameter_once_per_arc(monkeypatch):
     counts = {"length": 0, "arc_potential": 0}
 

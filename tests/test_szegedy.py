@@ -31,6 +31,7 @@ from qgwalk import (
     szegedy_spectrum,
     szegedy_walk,
 )
+from qgwalk.szegedy import _lift
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +96,15 @@ def test_lift_map_equals_the_per_arc_loop(g):
             reference[space.index_of((j, l)), j - 1] = np.sqrt(t.entry(j, l))
     a = lift_map(t)
     assert a.dtype == reference.dtype and np.array_equal(a, reference)
+
+
+@pytest.mark.parametrize("g", [complete_graph(30), cycle_graph(500), *arc_order_graphs()])
+def test_the_gathered_lift_equals_the_dense_product(g):
+    t = random_reversible_transition(g, np.random.default_rng(g.vertex_count))
+    vecs = np.linalg.eigh(discriminant_matrix(t))[1]
+    lifted = _lift(t, vecs)
+    # one nonzero per row of lift_map: the product adds only zeros, whose signs may differ
+    assert lifted.dtype == vecs.dtype and np.array_equal(lifted, lift_map(t) @ vecs)
 
 
 def test_lift_map_conjugation_recovers_the_discriminant():
